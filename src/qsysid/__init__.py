@@ -8,9 +8,7 @@ from .dynamics import (
     METHOD_FALLBACK,
     ClassicalRecord,
     Propagator,
-    QuantumState,
     conditional_states,
-    evolve,
     max_total_decay_rate,
     prepare_propagator,
     simulate_record,
@@ -45,6 +43,7 @@ from .inference import (
     estimate_time_series,
     likelihood_surface,
     log_likelihood,
+    posterior,
     posterior_and_mle,
 )
 from .io import (

@@ -1,11 +1,13 @@
 """Conditional no-detection evolution and Monte Carlo quantum-jump records.
 
-The between-detections propagator exp(-i*H*tau) is evaluated exactly from an
-eigendecomposition of the (non-Hermitian) effective Hamiltonian, with a
-scaling-and-squaring fallback when the eigenbasis is ill-conditioned. Jump
-times are located by inverting the squared-norm survival curve with a
-bracketing pass plus bisection, so records carry no time-step discretization
-error beyond the bisection width.
+One class, `Propagator`, evaluates the between-detections operator
+exp(-i*H*tau) for a stack of candidate couplings: exactly from an
+eigendecomposition of the (non-Hermitian) effective Hamiltonian, or by a
+scaling-and-squaring fallback when the eigenbasis is ill-conditioned. The
+simulator runs it on a stack of one, the scorer in `inference` on the whole
+grid. Jump times are located by inverting the squared-norm survival curve
+with a bracketing pass plus bisection, so records carry no time-step
+discretization error beyond the bisection width.
 """
 
 from __future__ import annotations
@@ -46,117 +48,145 @@ CHANNEL_ATOM = 0
 CHANNEL_CAVITY = 1
 
 
-@dataclass(frozen=True)
-class QuantumState:
-    """Unnormalized conditional state plus the log-norm already factored out.
+def _matvec(matrices: np.ndarray, vectors: np.ndarray) -> np.ndarray:
+    """Row-wise matrix-vector products of an (n, d, d) and an (n, d) stack."""
+    return np.matmul(matrices, vectors[..., None])[..., 0]
 
-    log_norm accumulates ln of every squared-norm factor removed by
-    renormalization, so ln ||psi_full||^2 = log_norm + ln ||amplitudes||^2.
+
+class Propagator:
+    """exp(-i*H*tau) for a stack of candidate couplings, at any tau >= 0.
+
+    Every array carries a leading candidate axis; one coupling is a stack of
+    1. Rows flagged in `eig` evolve in their eigenbasis (`eigvals`, `eigvecs`
+    and `eigvecs_inv` hold those rows, in order). The others keep their
+    matrix in `h` and walk one ladder of squared step matrices shared by the
+    whole stack and built on first use.
     """
 
-    amplitudes: np.ndarray
-    log_norm: float = 0.0
+    def __init__(self, eig, eigvals, eigvecs, eigvecs_inv, h):
+        self.eig = eig
+        self.eigvals = eigvals
+        self.eigvecs = eigvecs
+        self.eigvecs_inv = eigvecs_inv
+        self.h = h
+        self._n_eig = int(np.count_nonzero(eig))
+        self._rates = -1j * eigvals[:, None, :]
+        self._eigvecs_t = eigvecs.swapaxes(1, 2)
+        self._ladder: list[np.ndarray] = []
 
-    def norm_sq(self) -> float:
-        return float(np.vdot(self.amplitudes, self.amplitudes).real)
+    @classmethod
+    def stack(cls, propagators) -> "Propagator":
+        """One propagator over the candidates of several, in order."""
+        names = ("eig", "eigvals", "eigvecs", "eigvecs_inv", "h")
+        return cls(*(np.concatenate([getattr(p, n) for p in propagators]) for n in names))
 
-    def normalized(self) -> "QuantumState":
-        n2 = self.norm_sq()
-        if not math.isfinite(n2) or n2 <= 0.0:
-            raise NumericError(f"cannot renormalize state with squared norm {n2}")
-        return QuantumState(self.amplitudes / math.sqrt(n2), self.log_norm + math.log(n2))
+    @property
+    def method(self) -> str:
+        """The path every candidate of the stack takes."""
+        if self._n_eig == len(self.eig):
+            return METHOD_EIG
+        if self._n_eig == 0:
+            return METHOD_FALLBACK
+        raise InvalidParametersError("the candidates of this stack take different paths")
 
-
-def _split_tau(tau: float) -> tuple[int, float]:
-    """tau = q * LADDER_DELTA + residual with 0 <= residual < LADDER_DELTA."""
-    q = int(math.floor(tau / LADDER_DELTA))
-    return q, tau - q * LADDER_DELTA
-
-
-@dataclass(frozen=True)
-class Propagator:
-    """exp(-i*H*tau) in a form cheap to evaluate at arbitrary tau >= 0."""
-
-    g: float
-    dim: int
-    method: str
-    eigvals: np.ndarray | None = None
-    eigvecs: np.ndarray | None = None
-    eigvecs_inv: np.ndarray | None = None
-    h_matrix: np.ndarray | None = None
-    _ladder: list = field(default_factory=list, repr=False)
-
-    def ladder_level(self, level: int) -> np.ndarray:
-        """exp(-i*H*LADDER_DELTA*2^level), by squaring with periodic rebuilds.
+    def _ladder_level(self, level: int) -> np.ndarray:
+        """exp(-i*H*LADDER_DELTA*2^level) for the fallback rows, by squaring.
 
         Squaring doubles accumulated rounding error per level, so every
-        _LADDER_REBUILD levels the matrix is recomputed from a fresh expm,
+        _LADDER_REBUILD levels the stack is recomputed from a fresh expm,
         capping the amplification at 2**_LADDER_REBUILD.
         """
         while len(self._ladder) <= level:
             j = len(self._ladder)
             if j % _LADDER_REBUILD == 0:
-                self._ladder.append(expm((-1j * LADDER_DELTA * 2.0**j) * self.h_matrix))
+                self._ladder.append(expm((-1j * LADDER_DELTA * 2.0**j) * self.h))
             else:
                 last = self._ladder[-1]
                 self._ladder.append(last @ last)
         return self._ladder[level]
 
-    def _taylor_residual(self, amplitudes: np.ndarray, residual: float) -> np.ndarray:
-        # ||H*residual|| is <~ 1e-4 for any sane model, so cubic order suffices
-        hv = self.h_matrix @ amplitudes
-        hhv = self.h_matrix @ hv
-        hhhv = self.h_matrix @ hhv
-        r2 = residual * residual
-        return (
-            amplitudes
-            - (1j * residual) * hv
-            - (0.5 * r2) * hhv
-            + (1j * r2 * residual / 6.0) * hhhv
-        )
+    def _walk(self, states: np.ndarray, taus: np.ndarray) -> np.ndarray:
+        """Fallback rows, to each tau: ladder products for the whole
+        LADDER_DELTA steps in tau, then a cubic Taylor step for the residual
+        (||H*residual|| <~ 1e-4 for any sane model, so cubic order suffices)."""
+        out = []
+        for tau in taus.reshape(-1).tolist():
+            q = int(math.floor(tau / LADDER_DELTA))
+            residual = tau - q * LADDER_DELTA
+            psi = states
+            level = 0
+            while q:
+                if q & 1:
+                    psi = _matvec(self._ladder_level(level), psi)
+                q >>= 1
+                level += 1
+            hv = _matvec(self.h, psi)
+            hhv = _matvec(self.h, hv)
+            hhhv = _matvec(self.h, hhv)
+            r2 = residual * residual
+            out.append(
+                psi
+                - (1j * residual) * hv
+                - (0.5 * r2) * hhv
+                + (1j * r2 * residual / 6.0) * hhhv
+            )
+        return np.stack(out, axis=1)
 
-    def apply(self, amplitudes: np.ndarray, tau: float) -> np.ndarray:
-        """Evolve an amplitude vector through a no-detection interval."""
+    def _by_path(self, rows: np.ndarray, on_eig, on_fallback, *args) -> np.ndarray:
+        """on_eig on the eigen rows and on_fallback on the others, reassembled."""
+        if self._n_eig == len(rows):
+            return on_eig(rows, *args)
+        if self._n_eig == 0:
+            return on_fallback(rows, *args)
+        eig_part = on_eig(rows[self.eig], *args)
+        out = np.empty(rows.shape[:1] + eig_part.shape[1:], dtype=complex)
+        out[self.eig] = eig_part
+        out[~self.eig] = on_fallback(rows[~self.eig], *args)
+        return out
+
+    def _phase_evolve(self, coeffs: np.ndarray, taus: np.ndarray) -> np.ndarray:
+        """Eigen rows: turn each eigencomponent by exp(-i*lambda*tau), map back."""
+        phases = np.exp(taus[..., None] * self._rates)
+        return (coeffs[:, None, :] * phases) @ self._eigvecs_t
+
+    def to_coeffs(self, states: np.ndarray) -> np.ndarray:
+        """What `from_coeffs` evolves, one row per candidate: eigenbasis
+        components for the eigen rows, the (n, dim) states themselves for
+        the rest. Computing it once serves any number of interval lengths."""
+        return self._by_path(states, lambda s: _matvec(self.eigvecs_inv, s), lambda s: s)
+
+    def from_coeffs(self, coeffs: np.ndarray, tau) -> np.ndarray:
+        """The states after a no-detection interval tau >= 0.
+
+        A scalar tau gives (n, dim); a 1-d array of k interval lengths gives
+        (n, k, dim), row i evolved from coeffs[i] to each of them.
+        """
+        taus = np.asarray(tau, dtype=float)
+        out = self._by_path(coeffs, self._phase_evolve, self._walk, taus)
+        return out if taus.ndim else out[:, 0]
+
+    def evolve(self, states: np.ndarray, tau: float) -> np.ndarray:
+        """Evolve an (n, dim) state stack through a no-detection interval."""
         if tau == 0.0:
-            return amplitudes.copy()
-        if self.method == METHOD_EIG:
-            phi = self.eigvecs_inv @ amplitudes
-            return self.eigvecs @ (np.exp(-1j * self.eigvals * tau) * phi)
-        q, residual = _split_tau(tau)
-        out = amplitudes
-        level = 0
-        while q:
-            if q & 1:
-                out = self.ladder_level(level) @ out
-            q >>= 1
-            level += 1
-        return self._taylor_residual(out, residual)
-
-    def apply_many(self, amplitudes: np.ndarray, taus: np.ndarray) -> np.ndarray:
-        """Evolve one start vector to several interval lengths; rows index taus."""
-        taus = np.asarray(taus, dtype=float)
-        if self.method == METHOD_EIG:
-            phi = self.eigvecs_inv @ amplitudes
-            phases = np.exp(-1j * np.outer(taus, self.eigvals))
-            return (phases * phi) @ self.eigvecs.T
-        return np.stack([self.apply(amplitudes, float(t)) for t in taus])
+            return states.copy()
+        return self.from_coeffs(self.to_coeffs(states), tau)
 
 
 def prepare_propagator(hamiltonian: EffectiveHamiltonian, method: str | None = None) -> Propagator:
-    """Diagonalize H for exact interval evolution.
+    """Diagonalize H for exact interval evolution; a stack of one candidate.
 
-    Falls back to scaling-and-squaring (matrix exponential per call) when the
-    eigenvector matrix has condition number > 1e8 or fails a reconstruction
-    check; near eigenbasis degeneracies the spectral form loses accuracy.
-    `method` forces one path (mainly for cross-checking the two against each
-    other in tests).
+    Falls back to the ladder of matrix exponentials when the eigenvector
+    matrix has condition number > 1e8 or fails a reconstruction check; near
+    eigenbasis degeneracies the spectral form loses accuracy. `method`
+    forces one path (mainly for cross-checking the two against each other
+    in tests).
     """
     h = np.asarray(hamiltonian.matrix)
     if not np.all(np.isfinite(h)):
         raise NumericError("effective Hamiltonian contains non-finite entries")
     if method not in (None, METHOD_EIG, METHOD_FALLBACK):
         raise InvalidParametersError(f"unknown propagator method: {method!r}")
-    dim = h.shape[0]
+    empty = np.empty((0,) + h.shape, dtype=complex)  # no rows on the other path
     if method != METHOD_FALLBACK:
         w, v = np.linalg.eig(h)
         cond = np.linalg.cond(v)
@@ -167,32 +197,12 @@ def prepare_propagator(hamiltonian: EffectiveHamiltonian, method: str | None = N
             scale = np.abs(h).max()
             usable = recon_err <= EIG_RECON_RTOL * max(scale, 1e-300)
         if usable:
-            return Propagator(
-                g=hamiltonian.g, dim=dim, method=METHOD_EIG,
-                eigvals=w, eigvecs=v, eigvecs_inv=v_inv,
-            )
+            return Propagator(np.ones(1, dtype=bool), w[None], v[None], v_inv[None], empty)
         if method == METHOD_EIG:
             raise NumericError(
                 f"eigendecomposition requested but unusable (cond(V) = {cond:.3g})"
             )
-    return Propagator(g=hamiltonian.g, dim=dim, method=METHOD_FALLBACK, h_matrix=h.copy())
-
-
-def evolve(propagator: Propagator, state: QuantumState, tau: float) -> QuantumState:
-    """Propagate an unnormalized state through a no-detection interval tau."""
-    if not math.isfinite(tau) or tau < 0:
-        raise InvalidParametersError(f"tau must be finite and >= 0, got {tau}")
-    if tau == 0.0:
-        return QuantumState(state.amplitudes.copy(), state.log_norm)
-    amps = propagator.apply(state.amplitudes, tau)
-    if not np.all(np.isfinite(amps)):
-        raise NumericError(f"no-detection evolution produced non-finite amplitudes (tau={tau})")
-    if float(np.vdot(amps, amps).real) <= 0.0:
-        raise NumericError(
-            f"no-detection evolution underflowed to zero norm (tau={tau}); "
-            "split the interval and renormalize"
-        )
-    return QuantumState(amps, state.log_norm)
+    return Propagator(np.zeros(1, dtype=bool), empty[:, 0], empty, empty, h[None].copy())
 
 
 def max_total_decay_rate(model: Model) -> float:
@@ -205,44 +215,24 @@ def max_total_decay_rate(model: Model) -> float:
     return 2.0 * TWO_PI * p.kappa * p.n_trunc + 2.0 * TWO_PI * p.gamma_perp
 
 
-class _Segment:
-    """Survival-curve evaluations from one fixed (normalized) start state."""
-
-    def __init__(self, propagator: Propagator, psi: np.ndarray):
-        self.propagator = propagator
-        self.psi = psi
-        if propagator.method == METHOD_EIG:
-            self.phi = propagator.eigvecs_inv @ psi
-
-    def at(self, tau: float) -> np.ndarray:
-        if tau == 0.0:
-            return self.psi.copy()
-        if self.propagator.method == METHOD_EIG:
-            return self.propagator.eigvecs @ (np.exp(-1j * self.propagator.eigvals * tau) * self.phi)
-        return self.propagator.apply(self.psi, tau)
-
-    def at_many(self, taus: np.ndarray) -> np.ndarray:
-        if self.propagator.method == METHOD_EIG:
-            phases = np.exp(-1j * np.outer(taus, self.propagator.eigvals))
-            return (phases * self.phi) @ self.propagator.eigvecs.T
-        return self.propagator.apply_many(self.psi, taus)
-
-    def survival(self, tau: float) -> float:
-        amps = self.at(tau)
+def _survival(propagator: Propagator, coeffs: np.ndarray, tau):
+    """Squared no-detection norm of a single-candidate segment at tau, or at
+    each of a 1-d array of interval lengths."""
+    amps = propagator.from_coeffs(coeffs, tau)[0]
+    if amps.ndim == 1:
         s = float(np.vdot(amps, amps).real)
-        if not math.isfinite(s):
-            raise NumericError(f"survival evaluation non-finite at tau={tau}")
-        return s
-
-    def survival_many(self, taus: np.ndarray) -> np.ndarray:
-        amps = self.at_many(taus)
+        finite = math.isfinite(s)
+    else:
         s = np.einsum("kd,kd->k", amps.conj(), amps).real
-        if not np.all(np.isfinite(s)):
-            raise NumericError("survival evaluation non-finite in bracketing batch")
-        return s
+        finite = np.all(np.isfinite(s))
+    if not finite:
+        raise NumericError(f"survival evaluation non-finite at tau={tau}")
+    return s
 
 
-def _locate_jump_time(segment: _Segment, target: float, remaining: float, step: float) -> float:
+def _locate_jump_time(
+    propagator: Propagator, coeffs: np.ndarray, target: float, remaining: float, step: float
+) -> float:
     """First time where the squared-norm survival drops below target.
 
     Caller guarantees survival(remaining) < target <= 1. Brackets on a step
@@ -255,7 +245,7 @@ def _locate_jump_time(segment: _Segment, target: float, remaining: float, step: 
         last_batch = grid[-1] >= remaining
         if last_batch:
             grid = np.concatenate([grid[grid < remaining], [remaining]])
-        s = segment.survival_many(grid)
+        s = _survival(propagator, coeffs, grid)
         below = s < target
         idx = int(np.argmax(below))
         if below[idx]:
@@ -274,7 +264,7 @@ def _locate_jump_time(segment: _Segment, target: float, remaining: float, step: 
         if hi - lo <= JUMP_TIME_TOL:
             break
         mid = 0.5 * (lo + hi)
-        if segment.survival(mid) >= target:
+        if _survival(propagator, coeffs, mid) >= target:
             lo = mid
         else:
             hi = mid
@@ -397,11 +387,11 @@ def simulate_record(
         r = rng.random()
         while r == 0.0:  # open interval: a zero survival target is never reached
             r = rng.random()
-        segment = _Segment(propagator, psi)
-        if segment.survival(remaining) >= r:
+        coeffs = propagator.to_coeffs(psi[None])  # once per inter-jump segment
+        if _survival(propagator, coeffs, remaining) >= r:
             break
-        tau_star = _locate_jump_time(segment, r, remaining, step)
-        psi_star = segment.at(tau_star)
+        tau_star = _locate_jump_time(propagator, coeffs, r, remaining, step)
+        psi_star = propagator.from_coeffs(coeffs, tau_star)[0]
         w0 = float(np.vdot(model.c0 @ psi_star, model.c0 @ psi_star).real)
         w1 = float(np.vdot(model.c1 @ psi_star, model.c1 @ psi_star).real)
         w_sum = w0 + w1
@@ -450,8 +440,8 @@ def conditional_states(
     record: ClassicalRecord,
     times: np.ndarray,
     initial_state: np.ndarray | None = None,
-) -> list[QuantumState]:
-    """Reconstruct the normalized conditional state at the given times.
+) -> list[np.ndarray]:
+    """Reconstruct the normalized conditional state amplitudes at the given times.
 
     Replays the record (events with t <= T applied) under the coupling g.
     `times` must be ascending and inside [t0, tf].
@@ -461,12 +451,12 @@ def conditional_states(
         raise InvalidParametersError("query times must be ascending within the record window")
     propagator = prepare_propagator(effective_hamiltonian(model, g))
     psi = _normalized_initial(model, initial_state)
-    out: list[QuantumState] = []
+    out: list[np.ndarray] = []
     t_prev = record.t0
     i = 0
     for t_query in times:
         while i < record.n_events and record.times[i] <= t_query:
-            psi = propagator.apply(psi, float(record.times[i]) - t_prev)
+            psi = propagator.evolve(psi[None], float(record.times[i]) - t_prev)[0]
             collapse = model.c0 if record.channels[i] == CHANNEL_ATOM else model.c1
             psi = collapse @ psi
             n2 = float(np.vdot(psi, psi).real)
@@ -478,9 +468,9 @@ def conditional_states(
             psi = psi / math.sqrt(n2)
             t_prev = float(record.times[i])
             i += 1
-        amps = propagator.apply(psi, float(t_query) - t_prev)
+        amps = propagator.evolve(psi[None], float(t_query) - t_prev)[0]
         n2 = float(np.vdot(amps, amps).real)
         if n2 <= 0.0 or not math.isfinite(n2):
             raise NumericError(f"conditional state underflowed at t={t_query}")
-        out.append(QuantumState(amps / math.sqrt(n2), 0.0))
+        out.append(amps / math.sqrt(n2))
     return out

@@ -20,10 +20,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dynamics import (
-    METHOD_EIG,
     ClassicalRecord,
+    Propagator,
     _normalized_initial,
-    _split_tau,
     max_total_decay_rate,
     prepare_propagator,
 )
@@ -32,6 +31,7 @@ from .model import Model, ModelParams, effective_hamiltonian
 
 _RENORM_LOG_BUDGET = 100.0  # max |log norm^2| allowed to accumulate per chunk
 
+DEFAULT_GRID_MIN = 0.0
 DEFAULT_GRID_STEP = 0.5
 
 
@@ -68,7 +68,7 @@ class GGrid:
 
 def default_grid(params: ModelParams) -> GGrid:
     """Search grid [0, g0] in 0.5 MHz steps."""
-    return GGrid(0.0, params.g0, DEFAULT_GRID_STEP)
+    return GGrid(DEFAULT_GRID_MIN, params.g0, DEFAULT_GRID_STEP)
 
 
 @dataclass(frozen=True)
@@ -90,7 +90,7 @@ class LikelihoodSurface:
 
     def posterior(self) -> np.ndarray:
         """Normalized posterior over the grid for a uniform prior."""
-        return _posterior(self.loglik)
+        return posterior(self.loglik)
 
 
 @dataclass(frozen=True)
@@ -105,76 +105,11 @@ class Estimate:
     time: float
 
 
-class _MultiPropagator:
-    """No-detection propagators for every candidate g, batched where possible.
+def posterior(loglik: np.ndarray) -> np.ndarray:
+    """Normalized posterior of a log-likelihood vector for a uniform prior.
 
-    Diagonalizable candidates evolve through stacked spectral matmuls; the
-    rest share batched ladder applications (see Propagator.ladder_level),
-    with the stacked ladder levels cached across the whole scoring pass.
+    Softmax with max subtraction; -inf candidates get exactly zero mass.
     """
-
-    def __init__(self, model: Model, g_values: np.ndarray):
-        props = [
-            prepare_propagator(effective_hamiltonian(model, float(g))) for g in g_values
-        ]
-        self.n = len(props)
-        eig_idx = [i for i, p in enumerate(props) if p.method == METHOD_EIG]
-        fb_idx = [i for i, p in enumerate(props) if p.method != METHOD_EIG]
-        self.eig_idx = np.asarray(eig_idx, dtype=int)
-        self.fb_idx = np.asarray(fb_idx, dtype=int)
-        if eig_idx:
-            self.eigvals = np.stack([props[i].eigvals for i in eig_idx])
-            self.eigvecs = np.stack([props[i].eigvecs for i in eig_idx])
-            self.eigvecs_inv = np.stack([props[i].eigvecs_inv for i in eig_idx])
-        if fb_idx:
-            self.fb_props = [props[i] for i in fb_idx]
-            self.fb_h = np.stack([p.h_matrix for p in self.fb_props])
-            self._fb_levels: dict[int, np.ndarray] = {}
-
-    def _fb_level(self, level: int) -> np.ndarray:
-        stacked = self._fb_levels.get(level)
-        if stacked is None:
-            stacked = np.stack([p.ladder_level(level) for p in self.fb_props])
-            self._fb_levels[level] = stacked
-        return stacked
-
-    def _fb_evolve(self, states: np.ndarray, tau: float) -> np.ndarray:
-        q, residual = _split_tau(tau)
-        out = states
-        level = 0
-        while q:
-            if q & 1:
-                out = np.matmul(self._fb_level(level), out[:, :, None])[:, :, 0]
-            q >>= 1
-            level += 1
-        hv = np.matmul(self.fb_h, out[:, :, None])[:, :, 0]
-        hhv = np.matmul(self.fb_h, hv[:, :, None])[:, :, 0]
-        hhhv = np.matmul(self.fb_h, hhv[:, :, None])[:, :, 0]
-        r2 = residual * residual
-        return (
-            out
-            - (1j * residual) * hv
-            - (0.5 * r2) * hhv
-            + (1j * r2 * residual / 6.0) * hhhv
-        )
-
-    def evolve(self, states: np.ndarray, tau: float) -> np.ndarray:
-        """Evolve the (n, dim) state stack through a no-detection interval."""
-        if tau == 0.0:
-            return states.copy()
-        out = np.empty_like(states)
-        if self.eig_idx.size:
-            sub = states[self.eig_idx]
-            phi = np.matmul(self.eigvecs_inv, sub[:, :, None])[:, :, 0]
-            phi *= np.exp(-1j * self.eigvals * tau)
-            out[self.eig_idx] = np.matmul(self.eigvecs, phi[:, :, None])[:, :, 0]
-        if self.fb_idx.size:
-            out[self.fb_idx] = self._fb_evolve(states[self.fb_idx], tau)
-        return out
-
-
-def _posterior(loglik: np.ndarray) -> np.ndarray:
-    """Softmax with max subtraction; -inf candidates get exactly zero mass."""
     m = float(np.max(loglik))
     if m == -np.inf:
         raise NoEstimateError("every grid candidate has zero likelihood")
@@ -219,22 +154,25 @@ def _score_record(
                 "checkpoints must be ascending within the record window"
             )
     psi0 = _normalized_initial(model, initial_state)
-    mp = _MultiPropagator(model, g_values)
-    n_g = mp.n
+    prop = Propagator.stack(
+        [prepare_propagator(effective_hamiltonian(model, float(g))) for g in g_values]
+    )
+    n_g = len(g_values)
     states = np.tile(psi0, (n_g, 1))
     loglik = np.zeros(n_g, dtype=float)
     alive = np.ones(n_g, dtype=bool)
 
-    def advance(tau: float) -> None:
-        """Commit no-detection evolution over tau, renormalizing per chunk."""
-        nonlocal states
+    def advance(tau: float) -> tuple[np.ndarray, np.ndarray]:
+        """(states, loglik) after no-detection evolution over tau, renormalized
+        per chunk; works on copies, so a checkpoint runs a commit's arithmetic."""
+        new_states, new_loglik = states, loglik.copy()
         if tau <= 0.0:
-            return
+            return new_states, new_loglik
         n_sub = max(1, math.ceil(tau / max_step))
         sub = tau / n_sub
         for _ in range(n_sub):
-            states = mp.evolve(states, sub)
-            n2 = _row_norms_sq(states)
+            new_states = prop.evolve(new_states, sub)
+            n2 = _row_norms_sq(new_states)
             if not np.all(np.isfinite(n2[alive])):
                 raise NumericError("no-detection evolution produced non-finite norms")
             if np.any(n2[alive] <= 0.0):
@@ -242,26 +180,9 @@ def _score_record(
                     "no-detection norm underflowed; reduce max_step so each "
                     "chunk stays within the floating-point range"
                 )
-            loglik[alive] += np.log(n2[alive])
-            states[alive] /= np.sqrt(n2[alive])[:, None]
-
-    def peek(t_target: float, t_from: float) -> np.ndarray:
-        """Log-likelihood at t_target without committing the evolution."""
-        tau = t_target - t_from
-        if tau <= 0.0:
-            return loglik.copy()
-        extra = np.zeros(n_g, dtype=float)
-        tmp = states
-        n_sub = max(1, math.ceil(tau / max_step))
-        sub = tau / n_sub
-        for _ in range(n_sub):
-            tmp = mp.evolve(tmp, sub)
-            n2 = _row_norms_sq(tmp)
-            if not np.all(np.isfinite(n2[alive])) or np.any(n2[alive] <= 0.0):
-                raise NumericError("checkpoint evolution produced unusable norms")
-            extra[alive] += np.log(n2[alive])
-            tmp = tmp / np.where(n2 > 0.0, np.sqrt(n2), 1.0)[:, None]
-        return loglik + extra
+            new_loglik[alive] += np.log(n2[alive])
+            new_states[alive] /= np.sqrt(n2[alive])[:, None]
+        return new_states, new_loglik
 
     history_rows: list[np.ndarray] = [] if want_history else None
     checkpoint_rows: list[tuple[float, int, np.ndarray]] = []
@@ -271,9 +192,9 @@ def _score_record(
         t_k = float(record.times[k])
         while checkpoints is not None and cp_i < checkpoints.size and checkpoints[cp_i] < t_k:
             t_cp = float(checkpoints[cp_i])
-            checkpoint_rows.append((t_cp, k, peek(t_cp, t_prev)))
+            checkpoint_rows.append((t_cp, k, advance(t_cp - t_prev)[1]))
             cp_i += 1
-        advance(t_k - t_prev)
+        states, loglik = advance(t_k - t_prev)
         collapse = model.c0 if record.channels[k] == 0 else model.c1
         states = states @ collapse.T
         n2 = _row_norms_sq(states)
@@ -290,9 +211,9 @@ def _score_record(
         t_prev = t_k
     while checkpoints is not None and cp_i < checkpoints.size:
         t_cp = float(checkpoints[cp_i])
-        checkpoint_rows.append((t_cp, record.n_events, peek(t_cp, t_prev)))
+        checkpoint_rows.append((t_cp, record.n_events, advance(t_cp - t_prev)[1]))
         cp_i += 1
-    advance(record.tf - t_prev)
+    states, loglik = advance(record.tf - t_prev)
     history = np.array(history_rows) if want_history and history_rows else None
     if want_history and not history_rows:
         history = np.zeros((0, n_g), dtype=float)
@@ -347,7 +268,7 @@ def likelihood_surface(
 def _estimate_from_loglik(
     grid: GGrid, loglik: np.ndarray, refine: bool, jump_index: int, time: float
 ) -> Estimate:
-    posterior = _posterior(loglik)
+    weights = posterior(loglik)
     idx = int(np.argmax(loglik))  # ties resolve to the smallest g
     g_hat = float(grid.values[idx])
     refined = False
@@ -363,8 +284,8 @@ def _estimate_from_loglik(
                 vertex = min(max(vertex, grid.g_min), grid.g_max)
                 g_hat = float(vertex)
                 refined = True
-    mean = float(posterior @ grid.values)
-    var = float(posterior @ (grid.values - mean) ** 2)
+    mean = float(weights @ grid.values)
+    var = float(weights @ (grid.values - mean) ** 2)
     return Estimate(
         g_mle=g_hat,
         refined=refined,

@@ -18,14 +18,11 @@ import numpy as np
 from .dynamics import ClassicalRecord
 from .ensemble import ConvergenceStats, MleHistogram, default_checkpoints
 from .errors import ConfigError, FormatError, InvalidParametersError
-from .inference import GGrid, LikelihoodSurface, _posterior
+from .inference import DEFAULT_GRID_MIN, DEFAULT_GRID_STEP, GGrid, LikelihoodSurface, posterior
 from .model import ModelParams
 
 CONFIG_SCHEMA = "qsysid-config/1"
 RECORD_SCHEMA = "qsysid-record/1"
-
-DEFAULT_GRID_MIN = 0.0
-DEFAULT_GRID_STEP = 0.5
 
 _CONFIG_KEYS = {
     "schema",
@@ -380,10 +377,9 @@ def _fmt(value: float) -> str:
 
 def write_surface_csv(path, surface: LikelihoodSurface) -> None:
     """Final likelihood surface: g_mhz, loglik, posterior columns."""
-    posterior = _posterior(surface.loglik)
     rows = [
         [_fmt(g), _fmt(ll), _fmt(p)]
-        for g, ll, p in zip(surface.grid.values, surface.loglik, posterior)
+        for g, ll, p in zip(surface.grid.values, surface.loglik, posterior(surface.loglik))
     ]
     _write_csv(path, ["g_mhz", "loglik", "posterior"], rows)
 
@@ -397,8 +393,7 @@ def write_history_csv(path, surface: LikelihoodSurface) -> None:
     rows = []
     for i in range(surface.history.shape[0]):
         snapshot = surface.history[i]
-        posterior = _posterior(snapshot)
-        for g, ll, p in zip(surface.grid.values, snapshot, posterior):
+        for g, ll, p in zip(surface.grid.values, snapshot, posterior(snapshot)):
             rows.append([str(i + 1), _fmt(g), _fmt(ll), _fmt(p)])
     _write_csv(path, ["jump_index", "g_mhz", "loglik", "posterior"], rows)
 

@@ -12,12 +12,11 @@ from qsysid import (
     FormatError,
     InvalidParametersError,
     ModelParams,
-    QuantumState,
+    Propagator,
     basis_index,
     build_model,
     conditional_states,
     effective_hamiltonian,
-    evolve,
     ground_vacuum,
     max_total_decay_rate,
     prepare_propagator,
@@ -32,6 +31,10 @@ TWO_PI = 2.0 * np.pi
 def random_state(rng, dim):
     psi = rng.normal(size=dim) + 1j * rng.normal(size=dim)
     return psi / np.linalg.norm(psi)
+
+
+def norm_sq(amps):
+    return float(np.vdot(amps, amps).real)
 
 
 # ---------------------------------------------------------------- propagator
@@ -67,8 +70,8 @@ def test_eigen_and_fallback_paths_agree(seed, tau):
     eig = prepare_propagator(h, METHOD_EIG)
     fb = prepare_propagator(h, METHOD_FALLBACK)
     psi = random_state(rng, model.dim)
-    out_eig = eig.apply(psi, tau)
-    out_fb = fb.apply(psi, tau)
+    out_eig = eig.evolve(psi[None], tau)[0]
+    out_fb = fb.evolve(psi[None], tau)[0]
     assert np.abs(out_eig - out_fb).max() <= 1e-10
 
 
@@ -78,28 +81,45 @@ def test_eigen_and_fallback_agree_at_operating_scale(cavity_model, rng):
     fb = prepare_propagator(h, METHOD_FALLBACK)
     psi = random_state(rng, cavity_model.dim)
     for tau in (0.003, 0.05, 0.25):
-        assert np.abs(eig.apply(psi, tau) - fb.apply(psi, tau)).max() <= 1e-10
+        assert np.abs(eig.evolve(psi[None], tau) - fb.evolve(psi[None], tau)).max() <= 1e-10
 
 
-def test_apply_matches_dense_expm(small_model, rng):
+def test_evolve_matches_dense_expm(small_model, rng):
     h = effective_hamiltonian(small_model, 2.2)
     prop = prepare_propagator(h)
     psi = random_state(rng, small_model.dim)
     for tau in (0.05, 0.4, 1.3):
         expected = expm(-1j * h.matrix * tau) @ psi
-        np.testing.assert_allclose(prop.apply(psi, tau), expected, atol=1e-11)
+        np.testing.assert_allclose(prop.evolve(psi[None], tau)[0], expected, atol=1e-11)
 
 
-def test_apply_many_matches_scalar_apply(small_model, rng):
+def test_from_coeffs_at_many_times_matches_evolve(small_model, rng):
     h = effective_hamiltonian(small_model, 2.2)
     taus = np.array([0.0, 0.02, 0.3, 0.77])
     psi = random_state(rng, small_model.dim)
     for method in (METHOD_EIG, METHOD_FALLBACK):
         prop = prepare_propagator(h, method)
-        batch = prop.apply_many(psi, taus)
-        assert batch.shape == (len(taus), small_model.dim)
+        batch = prop.from_coeffs(prop.to_coeffs(psi[None]), taus)
+        assert batch.shape == (1, len(taus), small_model.dim)
         for k, tau in enumerate(taus):
-            np.testing.assert_allclose(batch[k], prop.apply(psi, float(tau)), atol=1e-12)
+            expected = prop.evolve(psi[None], float(tau))[0]
+            np.testing.assert_allclose(batch[0, k], expected, atol=1e-12)
+
+
+def test_stacked_propagator_evolves_each_row_like_its_member(small_model, rng):
+    members = [
+        prepare_propagator(effective_hamiltonian(small_model, g), method)
+        for g, method in ((1.0, METHOD_FALLBACK), (2.0, METHOD_EIG), (3.0, METHOD_FALLBACK))
+    ]
+    stack = Propagator.stack(members)
+    np.testing.assert_array_equal(stack.eig, [False, True, False])
+    with pytest.raises(InvalidParametersError):
+        stack.method
+    states = np.stack([random_state(rng, small_model.dim) for _ in members])
+    for tau in (0.013, 0.4):
+        out = stack.evolve(states, tau)
+        for i, member in enumerate(members):
+            np.testing.assert_array_equal(out[i], member.evolve(states[i:i + 1], tau)[0])
 
 
 @pytest.mark.parametrize("method", [METHOD_EIG, METHOD_FALLBACK])
@@ -107,24 +127,17 @@ def test_semigroup_property(small_model, rng, method):
     prop = prepare_propagator(effective_hamiltonian(small_model, 3.3), method)
     psi = random_state(rng, small_model.dim)
     for tau1, tau2 in [(0.1, 0.2), (0.31, 0.047), (0.9, 0.9)]:
-        once = prop.apply(psi, tau1 + tau2)
-        twice = prop.apply(prop.apply(psi, tau1), tau2)
+        once = prop.evolve(psi[None], tau1 + tau2)
+        twice = prop.evolve(prop.evolve(psi[None], tau1), tau2)
         assert np.abs(once - twice).max() <= 1e-10
 
 
 def test_evolve_zero_interval_is_identity(small_model, rng):
     prop = prepare_propagator(effective_hamiltonian(small_model, 1.0))
-    state = QuantumState(random_state(rng, small_model.dim), log_norm=-0.3)
-    out = evolve(prop, state, 0.0)
-    np.testing.assert_array_equal(out.amplitudes, state.amplitudes)
-    assert out.log_norm == state.log_norm
-
-
-def test_evolve_rejects_negative_interval(small_model, rng):
-    prop = prepare_propagator(effective_hamiltonian(small_model, 1.0))
-    state = QuantumState(random_state(rng, small_model.dim))
-    with pytest.raises(InvalidParametersError):
-        evolve(prop, state, -0.1)
+    states = np.stack([random_state(rng, small_model.dim) for _ in range(2)])
+    out = prop.evolve(states, 0.0)
+    np.testing.assert_array_equal(out, states)
+    assert out is not states
 
 
 @pytest.mark.parametrize("seed", [5, 6])
@@ -134,11 +147,11 @@ def test_no_detection_norm_never_increases(seed):
         ModelParams(g0=8.0, gamma_perp=1.0, kappa=2.0, epsilon=1.0, n_trunc=4)
     )
     prop = prepare_propagator(effective_hamiltonian(model, 4.0))
-    state = QuantumState(random_state(rng, model.dim))
-    norms = [state.norm_sq()]
+    amps = random_state(rng, model.dim)
+    norms = [norm_sq(amps)]
     for tau in np.full(12, 0.08):
-        state = evolve(prop, state, float(tau))
-        norms.append(state.norm_sq())
+        amps = prop.evolve(amps[None], float(tau))[0]
+        norms.append(norm_sq(amps))
     diffs = np.diff(norms)
     assert np.all(diffs <= 1e-12)
 
@@ -149,10 +162,9 @@ def test_analytic_survival_single_photon():
     prop = prepare_propagator(effective_hamiltonian(model, 0.0))
     psi = np.zeros(model.dim, dtype=complex)
     psi[basis_index(1, 0)] = 1.0
-    state = QuantumState(psi)
     tau = 0.37
-    out = evolve(prop, state, tau)
-    assert out.norm_sq() == pytest.approx(np.exp(-2.0 * TWO_PI * 1.7 * tau), rel=1e-12)
+    out = prop.evolve(psi[None], tau)[0]
+    assert norm_sq(out) == pytest.approx(np.exp(-2.0 * TWO_PI * 1.7 * tau), rel=1e-12)
 
 
 def test_analytic_survival_excited_atom():
@@ -161,8 +173,8 @@ def test_analytic_survival_excited_atom():
     psi = np.zeros(model.dim, dtype=complex)
     psi[basis_index(0, 1)] = 1.0
     tau = 0.52
-    out = evolve(prop, QuantumState(psi), tau)
-    assert out.norm_sq() == pytest.approx(np.exp(-2.0 * TWO_PI * 0.9 * tau), rel=1e-12)
+    out = prop.evolve(psi[None], tau)[0]
+    assert norm_sq(out) == pytest.approx(np.exp(-2.0 * TWO_PI * 0.9 * tau), rel=1e-12)
 
 
 def test_max_total_decay_rate(small_model):
@@ -310,8 +322,8 @@ def test_conditional_states_match_direct_replay(small_model, rng):
             t_prev = t
         psi = expm(-1j * h * (t_query - t_prev)) @ psi
         psi = psi / np.linalg.norm(psi)
-        np.testing.assert_allclose(state.amplitudes, psi, atol=1e-10)
-        assert state.norm_sq() == pytest.approx(1.0, abs=1e-12)
+        np.testing.assert_allclose(state, psi, atol=1e-10)
+        assert norm_sq(state) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_conditional_states_include_event_at_query_time(small_model):
@@ -320,7 +332,7 @@ def test_conditional_states_include_event_at_query_time(small_model):
     (state,) = conditional_states(small_model, 0.0, record, np.array([0.5]))
     psi = small_model.c1 @ (expm(-1j * h * 0.5) @ ground_vacuum(small_model))
     psi = psi / np.linalg.norm(psi)
-    np.testing.assert_allclose(state.amplitudes, psi, atol=1e-10)
+    np.testing.assert_allclose(state, psi, atol=1e-10)
 
 
 def test_conditional_states_reject_bad_query_times(small_model):

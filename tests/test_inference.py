@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from qsysid import (
+    METHOD_EIG,
+    METHOD_FALLBACK,
     ClassicalRecord,
     GGrid,
     InvalidParametersError,
@@ -10,11 +12,13 @@ from qsysid import (
     NoEstimateError,
     build_model,
     default_grid,
+    effective_hamiltonian,
     estimate_per_jump,
     estimate_time_series,
     likelihood_surface,
     log_likelihood,
     posterior_and_mle,
+    prepare_propagator,
     simulate_record,
 )
 
@@ -98,6 +102,23 @@ def test_streaming_likelihood_matches_dense_trace(seed):
     got = log_likelihood(model, record, g)
     want = direct_log_density(model, record, g)
     assert got == pytest.approx(want, rel=1e-9, abs=1e-9)
+
+
+def test_surface_matches_dense_trace_at_operating_dimension(cavity_model):
+    # n_trunc 30 (dim 62), the size the propagator runs at; the grid
+    # straddles the eigendecomposition/fallback seam, so both paths are
+    # scored against the dense oracle
+    record = simulate_record(cavity_model, 45.0, 0.0, 0.1, seed=5)
+    assert record.n_events == 44
+    grid = GGrid(40.0, 45.0, 0.5)
+    methods = {
+        prepare_propagator(effective_hamiltonian(cavity_model, float(g))).method
+        for g in grid.values
+    }
+    assert methods == {METHOD_EIG, METHOD_FALLBACK}
+    surf = likelihood_surface(cavity_model, record, grid)
+    for g, got in zip(grid.values, surf.loglik):
+        assert abs(got - direct_log_density(cavity_model, record, float(g))) <= 1e-8
 
 
 def test_surface_matches_scalar_likelihood(small_model):
@@ -282,14 +303,30 @@ def test_time_series_checkpoint_conventions(small_model):
 
 
 def test_time_series_final_checkpoint_matches_full_surface(small_model):
+    # a checkpoint runs exactly the arithmetic of scoring the record cut at
+    # it, so every checkpoint matches bit for bit, also when max_step splits
+    # the gap before a checkpoint into several renormalization chunks
     record = simulate_record(small_model, 3.0, 0.0, 1.0, seed=28)
     grid = GGrid(1.0, 5.0, 0.5)
-    (est,) = estimate_time_series(small_model, record, grid, [record.tf])
-    full = posterior_and_mle(likelihood_surface(small_model, record, grid))
-    assert est.g_mle == pytest.approx(full.g_mle, abs=1e-10)
-    assert est.posterior_mean == pytest.approx(full.posterior_mean, abs=1e-10)
-    assert est.posterior_sd == pytest.approx(full.posterior_sd, abs=1e-10)
-    assert est.jump_index == full.jump_index == record.n_events
+    checkpoints = [0.3, 0.55, 0.8, record.tf]
+    gaps = [t - max(record.times[record.times <= t], default=record.t0) for t in checkpoints]
+    assert max(gaps) >= 2 * 0.013
+    for max_step in (None, 0.013):
+        series = estimate_time_series(
+            small_model, record, grid, checkpoints, max_step=max_step
+        )
+        for t, est in zip(checkpoints, series):
+            kept = record.times <= t
+            cut = ClassicalRecord(
+                t0=record.t0, tf=t, times=record.times[kept], channels=record.channels[kept]
+            )
+            full = posterior_and_mle(likelihood_surface(small_model, cut, grid, max_step=max_step))
+            assert est.g_mle == full.g_mle
+            assert est.posterior_mean == full.posterior_mean
+            assert est.posterior_sd == full.posterior_sd
+            assert est.time == full.time == t
+            assert est.jump_index == full.jump_index == cut.n_events
+    assert series[-1].jump_index == record.n_events
 
 
 def test_time_series_at_window_start_is_uninformative(small_model):

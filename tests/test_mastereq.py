@@ -156,8 +156,7 @@ def test_trajectory_average_reproduces_master_equation(coupled_model):
     n_samples, p_samples = [], []
     for i in range(n_traj):
         record = simulate_record(coupled_model, g, 0.0, t_probe, seed=5000 + i)
-        (state,) = conditional_states(coupled_model, g, record, np.array([t_probe]))
-        amps = state.amplitudes
+        (amps,) = conditional_states(coupled_model, g, record, np.array([t_probe]))
         n_samples.append(float(np.real(amps.conj() @ (ad_a @ amps))))
         p_samples.append(float(np.real(amps.conj() @ (sp_sm @ amps))))
     master = integrate_master(coupled_model, g, ground_vacuum_density(coupled_model), t_probe)
