@@ -8,7 +8,6 @@ from .dynamics import (
     METHOD_FALLBACK,
     ClassicalRecord,
     Propagator,
-    conditional_states,
     max_total_decay_rate,
     prepare_propagator,
     simulate_record,
@@ -38,8 +37,8 @@ from .inference import (
     Estimate,
     GGrid,
     LikelihoodSurface,
+    conditional_states,
     default_grid,
-    estimate_per_jump,
     estimate_time_series,
     likelihood_surface,
     log_likelihood,
@@ -50,10 +49,8 @@ from .io import (
     CONFIG_SCHEMA,
     RECORD_SCHEMA,
     Config,
-    emit_config,
     parse_config,
     read_record,
-    write_config,
     write_hist_csv,
     write_history_csv,
     write_record,
@@ -75,11 +72,8 @@ from .model import (
     EffectiveHamiltonian,
     Model,
     ModelParams,
-    ModeGeometry,
     basis_index,
-    basis_labels,
     build_model,
-    coupling_at_position,
     effective_hamiltonian,
     ground_vacuum,
 )

@@ -131,6 +131,10 @@ def _cmd_ensemble(args) -> int:
         master_seed=config.seed,
         refine=config.refine,
     )
+    if result.failures:
+        print(f"failed trajectories: {len(result.failures)} of {result.n_traj}")
+        for index, reason in result.failures:
+            print(f"  trajectory {index}: {reason}")
     hist_time = args.hist_time if args.hist_time is not None else checkpoints[-1]
     bin_width = args.bin_width if args.bin_width is not None else config.grid_step
     stats, histogram = summarize(result, hist_time, bin_width)
@@ -148,8 +152,6 @@ def _cmd_ensemble(args) -> int:
         f"counts: mean = {mean_counts:.1f} per record, variance = {var_counts:.1f}, "
         f"Fano = {fano:.2f}"
     )
-    if result.failures:
-        print(f"failed trajectories: {len(result.failures)} of {result.n_traj}")
     print(f"wrote {args.out} and {args.hist}")
     return EXIT_OK
 

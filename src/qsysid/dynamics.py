@@ -373,6 +373,8 @@ def simulate_record(
     """
     if not (math.isfinite(t0) and math.isfinite(tf)) or not tf > t0:
         raise InvalidParametersError(f"need tf > t0, got [{t0}, {tf}]")
+    if seed < 0:
+        raise InvalidParametersError(f"seed must be >= 0, got {seed}")
     psi = _normalized_initial(model, initial_state)
     propagator = prepare_propagator(effective_hamiltonian(model, g_true))
     rng = np.random.default_rng(seed)
@@ -432,45 +434,3 @@ def simulate_record(
     )
     record.validate()
     return record
-
-
-def conditional_states(
-    model: Model,
-    g: float,
-    record: ClassicalRecord,
-    times: np.ndarray,
-    initial_state: np.ndarray | None = None,
-) -> list[np.ndarray]:
-    """Reconstruct the normalized conditional state amplitudes at the given times.
-
-    Replays the record (events with t <= T applied) under the coupling g.
-    `times` must be ascending and inside [t0, tf].
-    """
-    times = np.asarray(times, dtype=float)
-    if times.size and (np.any(np.diff(times) < 0) or times[0] < record.t0 or times[-1] > record.tf):
-        raise InvalidParametersError("query times must be ascending within the record window")
-    propagator = prepare_propagator(effective_hamiltonian(model, g))
-    psi = _normalized_initial(model, initial_state)
-    out: list[np.ndarray] = []
-    t_prev = record.t0
-    i = 0
-    for t_query in times:
-        while i < record.n_events and record.times[i] <= t_query:
-            psi = propagator.evolve(psi[None], float(record.times[i]) - t_prev)[0]
-            collapse = model.c0 if record.channels[i] == CHANNEL_ATOM else model.c1
-            psi = collapse @ psi
-            n2 = float(np.vdot(psi, psi).real)
-            if n2 <= 0.0 or not math.isfinite(n2):
-                raise NumericError(
-                    f"record event {i} has zero weight under g={g}; "
-                    "state reconstruction impossible"
-                )
-            psi = psi / math.sqrt(n2)
-            t_prev = float(record.times[i])
-            i += 1
-        amps = propagator.evolve(psi[None], float(t_query) - t_prev)[0]
-        n2 = float(np.vdot(amps, amps).real)
-        if n2 <= 0.0 or not math.isfinite(n2):
-            raise NumericError(f"conditional state underflowed at t={t_query}")
-        out.append(amps / math.sqrt(n2))
-    return out

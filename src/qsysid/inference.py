@@ -9,7 +9,10 @@ it cancels in the posterior and in any likelihood comparison.
 Scoring walks the record once with the states for all grid candidates
 stacked, renormalizing every chunk (at most `max_step` of no-detection
 evolution) and accumulating the removed log factors, so nothing underflows
-even for event-free windows hundreds of decay times long.
+even for event-free windows hundreds of decay times long. That pass is the
+only replay of a record in the package: surfaces, per-jump history,
+checkpoint estimates and the conditional states (`conditional_states`, the
+pass on a stack of one candidate) all come out of it.
 """
 
 from __future__ import annotations
@@ -19,15 +22,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dynamics import (
-    ClassicalRecord,
-    Propagator,
-    _normalized_initial,
-    max_total_decay_rate,
-    prepare_propagator,
-)
+from .dynamics import ClassicalRecord, Propagator, max_total_decay_rate, prepare_propagator
 from .errors import InvalidParametersError, NoEstimateError, NumericError
-from .model import Model, ModelParams, effective_hamiltonian
+from .model import Model, ModelParams, effective_hamiltonian, ground_vacuum
 
 _RENORM_LOG_BUDGET = 100.0  # max |log norm^2| allowed to accumulate per chunk
 
@@ -113,7 +110,7 @@ def posterior(loglik: np.ndarray) -> np.ndarray:
     m = float(np.max(loglik))
     if m == -np.inf:
         raise NoEstimateError("every grid candidate has zero likelihood")
-    with np.errstate(over="raise"):
+    with np.errstate(over="ignore"):  # a gap past the float range is zero mass
         weights = np.exp(loglik - m)
     return weights / float(np.sum(weights))
 
@@ -129,13 +126,13 @@ def _score_record(
     *,
     want_history: bool = False,
     checkpoints: np.ndarray | None = None,
-    initial_state: np.ndarray | None = None,
     max_step: float | None = None,
 ):
     """One streaming pass over the record for every candidate g.
 
     Returns (loglik, history, checkpoint_rows) where checkpoint_rows is a
-    list of (time, events_included, loglik_vector) and history is an
+    list of (time, events_included, states, loglik_vector), states being
+    the (n_g, dim) normalized conditional states there, and history is an
     (n_events, n_g) array or None.
     """
     record.validate()
@@ -146,19 +143,19 @@ def _score_record(
     if checkpoints is not None:
         checkpoints = np.asarray(checkpoints, dtype=float)
         if checkpoints.size and (
-            np.any(np.diff(checkpoints) < 0)
+            not np.all(np.isfinite(checkpoints))
+            or np.any(np.diff(checkpoints) < 0)
             or checkpoints[0] < record.t0
             or checkpoints[-1] > record.tf
         ):
             raise InvalidParametersError(
-                "checkpoints must be ascending within the record window"
+                "checkpoints must be finite, ascending and within the record window"
             )
-    psi0 = _normalized_initial(model, initial_state)
     prop = Propagator.stack(
         [prepare_propagator(effective_hamiltonian(model, float(g))) for g in g_values]
     )
     n_g = len(g_values)
-    states = np.tile(psi0, (n_g, 1))
+    states = np.tile(ground_vacuum(model), (n_g, 1))
     loglik = np.zeros(n_g, dtype=float)
     alive = np.ones(n_g, dtype=bool)
 
@@ -185,14 +182,14 @@ def _score_record(
         return new_states, new_loglik
 
     history_rows: list[np.ndarray] = [] if want_history else None
-    checkpoint_rows: list[tuple[float, int, np.ndarray]] = []
+    checkpoint_rows: list[tuple[float, int, np.ndarray, np.ndarray]] = []
     cp_i = 0
     t_prev = record.t0
     for k in range(record.n_events):
         t_k = float(record.times[k])
         while checkpoints is not None and cp_i < checkpoints.size and checkpoints[cp_i] < t_k:
             t_cp = float(checkpoints[cp_i])
-            checkpoint_rows.append((t_cp, k, advance(t_cp - t_prev)[1]))
+            checkpoint_rows.append((t_cp, k, *advance(t_cp - t_prev)))
             cp_i += 1
         states, loglik = advance(t_k - t_prev)
         collapse = model.c0 if record.channels[k] == 0 else model.c1
@@ -211,7 +208,7 @@ def _score_record(
         t_prev = t_k
     while checkpoints is not None and cp_i < checkpoints.size:
         t_cp = float(checkpoints[cp_i])
-        checkpoint_rows.append((t_cp, record.n_events, advance(t_cp - t_prev)[1]))
+        checkpoint_rows.append((t_cp, record.n_events, *advance(t_cp - t_prev)))
         cp_i += 1
     states, loglik = advance(record.tf - t_prev)
     history = np.array(history_rows) if want_history and history_rows else None
@@ -225,7 +222,6 @@ def log_likelihood(
     record: ClassicalRecord,
     g: float,
     *,
-    initial_state: np.ndarray | None = None,
     max_step: float | None = None,
 ) -> float:
     """Record log-likelihood at a single candidate coupling.
@@ -233,10 +229,7 @@ def log_likelihood(
     Returns -inf when some recorded event has exactly zero amplitude under
     this g (the candidate is excluded, not an error).
     """
-    loglik, _, _ = _score_record(
-        model, record, np.asarray([g], dtype=float),
-        initial_state=initial_state, max_step=max_step,
-    )
+    loglik, _, _ = _score_record(model, record, np.asarray([g], dtype=float), max_step=max_step)
     return float(loglik[0])
 
 
@@ -246,13 +239,11 @@ def likelihood_surface(
     grid: GGrid,
     *,
     with_history: bool = False,
-    initial_state: np.ndarray | None = None,
     max_step: float | None = None,
 ) -> LikelihoodSurface:
     """Score one record against every grid candidate in a single pass."""
     loglik, history, _ = _score_record(
-        model, record, grid.values,
-        want_history=with_history, initial_state=initial_state, max_step=max_step,
+        model, record, grid.values, want_history=with_history, max_step=max_step
     )
     return LikelihoodSurface(
         grid=grid,
@@ -311,7 +302,6 @@ def estimate_time_series(
     checkpoints,
     *,
     refine: bool = True,
-    initial_state: np.ndarray | None = None,
     max_step: float | None = None,
 ) -> list[Estimate]:
     """Estimates from the record truncated at each checkpoint time.
@@ -321,33 +311,29 @@ def estimate_time_series(
     """
     _, _, rows = _score_record(
         model, record, grid.values,
-        checkpoints=np.asarray(checkpoints, dtype=float),
-        initial_state=initial_state, max_step=max_step,
+        checkpoints=np.asarray(checkpoints, dtype=float), max_step=max_step,
     )
     return [
         _estimate_from_loglik(grid, vec, refine, jump_index=k, time=t)
-        for (t, k, vec) in rows
+        for (t, k, _, vec) in rows
     ]
 
 
-def estimate_per_jump(
-    model: Model,
-    record: ClassicalRecord,
-    grid: GGrid,
-    *,
-    refine: bool = True,
-    initial_state: np.ndarray | None = None,
-    max_step: float | None = None,
-) -> list[Estimate]:
-    """One estimate per detection event, from the partial record through it."""
-    _, history, _ = _score_record(
-        model, record, grid.values,
-        want_history=True, initial_state=initial_state, max_step=max_step,
+def conditional_states(model: Model, g: float, record: ClassicalRecord, times) -> list[np.ndarray]:
+    """The normalized conditional state amplitudes at each query time.
+
+    The record is replayed under the coupling g by the scorer's pass, with
+    the query times as checkpoints, so a state is exactly the one scoring
+    the record cut there ends with; a query at an event time includes that
+    event's collapse. `times` must be ascending and inside [t0, tf].
+    """
+    _, _, rows = _score_record(
+        model, record, np.asarray([g], dtype=float), checkpoints=np.asarray(times, dtype=float)
     )
-    return [
-        _estimate_from_loglik(
-            grid, history[i], refine,
-            jump_index=i + 1, time=float(record.times[i]),
-        )
-        for i in range(record.n_events)
-    ]
+    for t, k, _, loglik in rows:
+        if loglik[0] == -np.inf:
+            raise NumericError(
+                f"one of the first {k} record events has zero weight under g={g}; "
+                f"the state at t={t} cannot be reconstructed"
+            )
+    return [states[0] for (_, _, states, _) in rows]

@@ -159,6 +159,8 @@ def parse_config(path) -> Config:
         raise ConfigError(f"must be >= 1, got {n_trunc}", key="n_trunc")
     if not tf > t0:
         raise ConfigError(f"need tf_us > t0_us, got [{t0}, {tf}]", key="tf_us")
+    if seed < 0:
+        raise ConfigError(f"must be >= 0, got {seed}", key="seed")
     if n_traj < 1:
         raise ConfigError(f"must be >= 1, got {n_traj}", key="n_traj")
 
@@ -221,41 +223,6 @@ def parse_config(path) -> Config:
         refine=refine,
         with_history=with_history,
     )
-
-
-def config_to_dict(config: Config) -> dict:
-    """Canonical (fixed key order) JSON-ready form of a config."""
-    out = {
-        "schema": CONFIG_SCHEMA,
-        "g0_mhz": config.g0,
-        "gamma_perp_mhz": config.gamma_perp,
-        "kappa_mhz": config.kappa,
-        "epsilon_mhz": config.epsilon,
-        "n_trunc": config.n_trunc,
-        "g_true_mhz": config.g_true,
-        "grid": {
-            "min_mhz": config.grid_min,
-            "max_mhz": config.grid_max,
-            "step_mhz": config.grid_step,
-        },
-        "t0_us": config.t0,
-        "tf_us": config.tf,
-        "seed": config.seed,
-        "n_traj": config.n_traj,
-        "refine": config.refine,
-        "with_history": config.with_history,
-    }
-    if config.checkpoints is not None:
-        out["checkpoints_us"] = list(config.checkpoints)
-    return out
-
-
-def emit_config(config: Config) -> str:
-    return json.dumps(config_to_dict(config), indent=2) + "\n"
-
-
-def write_config(path, config: Config) -> None:
-    Path(path).write_text(emit_config(config))
 
 
 def write_record(path, record: ClassicalRecord) -> None:

@@ -20,6 +20,7 @@ from .model import TWO_PI, Model, effective_hamiltonian, ground_vacuum
 DT_DEFAULT = 1e-4            # us; keeps RK4 stable up to the top Fock level
 STEADY_TOL_DEFAULT = 1e-10
 TRACE_DRIFT_LIMIT = 1e-8     # allowed renormalization drift per us
+TRUNCATION_TAIL_LIMIT = 1e-8  # steady-state weight allowed in the top two Fock levels
 _STEADY_CHUNK = 0.25         # us of integration between residual checks
 _STEADY_SAFETY = 0.01        # converge this far below the advertised threshold
 
@@ -110,7 +111,6 @@ def steady_state(
     model: Model,
     g: float,
     tol: float = STEADY_TOL_DEFAULT,
-    dt: float = DT_DEFAULT,
     max_time: float = 50.0,
 ) -> MasterState:
     """Long-time integration from the ground-vacuum state until stationary.
@@ -129,7 +129,7 @@ def steady_state(
     elapsed = 0.0
     while elapsed < max_time:
         span = min(_STEADY_CHUNK, max_time - elapsed)
-        state = integrate_master(model, g, state, span, dt=dt)
+        state = integrate_master(model, g, state, span)
         elapsed += span
         residual = float(np.abs(rhs(state.rho)).max())
         if residual < threshold:
@@ -160,18 +160,15 @@ def photon_populations(state: MasterState) -> np.ndarray:
     return diag[0::2] + diag[1::2]
 
 
-def check_truncation(
-    model: Model, g: float, threshold: float = 1e-8, **steady_kwargs
-) -> float:
-    """Steady-state weight in the top two Fock levels; warns when it is not
-    negligible (raise n_trunc in that case)."""
-    ss = steady_state(model, g, **steady_kwargs)
-    pops = photon_populations(ss)
+def check_truncation(model: Model, g: float) -> float:
+    """Steady-state weight in the top two Fock levels; warns when it reaches
+    TRUNCATION_TAIL_LIMIT (raise n_trunc in that case)."""
+    pops = photon_populations(steady_state(model, g))
     tail = float(pops[-1] + pops[-2])
-    if tail >= threshold:
+    if tail >= TRUNCATION_TAIL_LIMIT:
         warnings.warn(
             f"top two Fock levels hold {tail:.3e} of the steady state "
-            f"(threshold {threshold:.0e}); raise n_trunc above "
+            f"(threshold {TRUNCATION_TAIL_LIMIT:.0e}); raise n_trunc above "
             f"{model.params.n_trunc}",
             RuntimeWarning,
             stacklevel=2,

@@ -53,31 +53,6 @@ class ModelParams:
 
 
 @dataclass(frozen=True)
-class ModeGeometry:
-    """Standing-wave TEM00 cavity mode geometry; lengths in um."""
-
-    wavelength: float
-    waist: float
-    position: tuple[float, float, float] = (0.0, 0.0, 0.0)
-
-    def __post_init__(self):
-        if not (math.isfinite(self.wavelength) and self.wavelength > 0):
-            raise InvalidParametersError(
-                f"wavelength must be finite and > 0, got {self.wavelength}"
-            )
-        if not (math.isfinite(self.waist) and self.waist > 0):
-            raise InvalidParametersError(
-                f"waist must be finite and > 0, got {self.waist}"
-            )
-        if len(self.position) != 3:
-            raise InvalidParametersError(
-                f"position must have 3 components, got {len(self.position)}"
-            )
-        if not all(math.isfinite(v) for v in self.position):
-            raise InvalidParametersError(f"position must be finite, got {self.position}")
-
-
-@dataclass(frozen=True)
 class Model:
     """Operator matrices on the truncated atom (x) cavity product space.
 
@@ -97,11 +72,6 @@ class Model:
 def basis_index(n: int, s: int) -> int:
     """Flatten (photon number, atomic level) into a basis index."""
     return 2 * n + s
-
-
-def basis_labels(i: int) -> tuple[int, int]:
-    """Invert basis_index: index -> (photon number, atomic level)."""
-    return i // 2, i % 2
 
 
 def build_model(params: ModelParams) -> Model:
@@ -157,18 +127,3 @@ def effective_hamiltonian(model: Model, g: float) -> EffectiveHamiltonian:
     h -= 0.5j * (model.c0.conj().T @ model.c0 + model.c1.conj().T @ model.c1)
     h.flags.writeable = False
     return EffectiveHamiltonian(matrix=h, g=g)
-
-
-def coupling_at_position(geometry: ModeGeometry, g0: float) -> float:
-    """Coupling at a point in the mode: g0*cos(2*pi*x/lambda)*exp(-(y^2+z^2)/w^2).
-
-    The returned value is signed (the standing wave changes sign between
-    antinodes); detection records only determine |g|, so estimation code
-    should take abs() before comparing against a g >= 0 grid.
-    """
-    if not math.isfinite(g0) or g0 < 0:
-        raise InvalidParametersError(f"g0 must be finite and >= 0, got {g0}")
-    x, y, z = geometry.position
-    axial = math.cos(TWO_PI * x / geometry.wavelength)
-    radial = math.exp(-(y * y + z * z) / (geometry.waist * geometry.waist))
-    return g0 * axial * radial

@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from qsysid import read_record
+from qsysid import EnsembleResult, Estimate, GGrid, ModelParams, cli, read_record
 from qsysid.cli import main
 
 TWO_PI = 2.0 * np.pi
@@ -102,6 +102,30 @@ def test_ensemble_writes_stats_and_histogram(tmp_path, toy_config, capsys):
     assert all(float(r[0]) == 1.0 for r in rows)  # default hist time: last checkpoint
 
 
+def test_ensemble_names_each_failed_trajectory(tmp_path, toy_config, capsys, monkeypatch):
+    # two of three trajectories fail, so summarize has too few survivors;
+    # the reasons are printed before that error ends the run
+    ok = tuple(Estimate(3.0, False, 3.0, 0.5, 1, t) for t in (0.5, 1.0))
+    failed = EnsembleResult(
+        params=ModelParams(6.0, 0.8, 1.5, 2.0, 6), g_true=3.0, grid=GGrid(1.0, 5.0, 1.0),
+        t0=0.0, tf=1.0, checkpoints=(0.5, 1.0), master_seed=5, seeds=(1, 2, 3),
+        estimates=(None, ok, None), event_counts=(None, 4, None),
+        failures=((0, "degenerate jump at t=0.25"), (2, "survival bracketing failed")),
+    )
+    monkeypatch.setattr(cli, "run_ensemble", lambda *args, **kwargs: failed)
+    code = main(
+        ["ensemble", "--config", str(toy_config),
+         "--out", str(tmp_path / "s.csv"), "--hist", str(tmp_path / "h.csv")]
+    )
+    assert code == 3
+    printed = capsys.readouterr().out.splitlines()
+    assert printed == [
+        "failed trajectories: 2 of 3",
+        "  trajectory 0: degenerate jump at t=0.25",
+        "  trajectory 2: survival bracketing failed",
+    ]
+
+
 def test_steadystate_reports_closed_form_values(tmp_path, capsys):
     cfg = dict(TOY_CONFIG)
     cfg.update({"gamma_perp_mhz": 0.5, "kappa_mhz": 6.0, "epsilon_mhz": 6.0, "n_trunc": 12})
@@ -147,6 +171,13 @@ def test_bad_config_exits_2(tmp_path, capsys):
     path.write_text(json.dumps(bad) + "\n")
     assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "r.json")]) == 2
     assert "surprise" in capsys.readouterr().err
+
+
+def test_negative_seed_exits_2(tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(dict(TOY_CONFIG, seed=-1)) + "\n")
+    assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "r.json")]) == 2
+    assert "key: seed" in capsys.readouterr().err
 
 
 def test_bad_record_exits_2(tmp_path, toy_config, capsys):

@@ -12,6 +12,7 @@ from qsysid import (
     FormatError,
     InvalidParametersError,
     ModelParams,
+    NumericError,
     Propagator,
     basis_index,
     build_model,
@@ -268,6 +269,11 @@ def test_simulate_rejects_bad_window(small_model):
         simulate_record(small_model, 1.0, t0=0.0, tf=-1.0, seed=0)
 
 
+def test_simulate_rejects_negative_seed(small_model):
+    with pytest.raises(InvalidParametersError, match="seed"):
+        simulate_record(small_model, 1.0, t0=0.0, tf=1.0, seed=-1)
+
+
 @pytest.mark.parametrize("seed", [101, 202, 303])
 def test_jump_time_inverts_survival_curve(seed):
     # one photon, no drive, no coupling, no atomic decay: survival is
@@ -326,6 +332,36 @@ def test_conditional_states_match_direct_replay(small_model, rng):
         assert norm_sq(state) == pytest.approx(1.0, abs=1e-12)
 
 
+def test_conditional_states_match_dense_replay_at_operating_dimension(cavity_model):
+    # headline point, one coupling on each propagator path; the query at
+    # 0.045 follows a gap of several renormalization chunks
+    record = ClassicalRecord(
+        t0=0.0, tf=0.1,
+        times=np.array([0.004, 0.011, 0.05, 0.062]), channels=np.array([1, 0, 1, 1]),
+    )
+    queries = np.array([0.002, 0.011, 0.045, 0.1])
+    max_step = 100.0 / max_total_decay_rate(cavity_model)  # the scorer's chunk length
+    assert 0.045 - 0.011 >= 2 * max_step
+    for g, method in ((40.0, METHOD_FALLBACK), (45.0, METHOD_EIG)):
+        h = effective_hamiltonian(cavity_model, g)
+        assert prepare_propagator(h).method == method
+        states = conditional_states(cavity_model, g, record, queries)
+        for t_query, state in zip(queries, states):
+            psi = ground_vacuum(cavity_model)
+            t_prev = 0.0
+            for t, c in zip(record.times, record.channels):
+                if t > t_query:
+                    break
+                psi = (cavity_model.c0 if c == 0 else cavity_model.c1) @ (
+                    expm(-1j * h.matrix * (t - t_prev)) @ psi
+                )
+                psi = psi / np.linalg.norm(psi)
+                t_prev = t
+            psi = expm(-1j * h.matrix * (t_query - t_prev)) @ psi
+            psi = psi / np.linalg.norm(psi)
+            assert np.abs(state - psi).max() <= 1e-10, (g, t_query)
+
+
 def test_conditional_states_include_event_at_query_time(small_model):
     record = ClassicalRecord(t0=0.0, tf=1.0, times=np.array([0.5]), channels=np.array([1]))
     h = effective_hamiltonian(small_model, 0.0).matrix
@@ -335,9 +371,22 @@ def test_conditional_states_include_event_at_query_time(small_model):
     np.testing.assert_allclose(state, psi, atol=1e-10)
 
 
+def test_conditional_states_reject_impossible_event():
+    # an atomic detection has zero weight without atomic decay; the state
+    # before it is still defined
+    model = build_model(ModelParams(g0=6.0, gamma_perp=0.0, kappa=1.1, epsilon=0.9, n_trunc=3))
+    record = ClassicalRecord(t0=0.0, tf=1.0, times=np.array([0.5]), channels=np.array([0]))
+    (state,) = conditional_states(model, 1.0, record, np.array([0.2]))
+    assert norm_sq(state) == pytest.approx(1.0, abs=1e-12)
+    with pytest.raises(NumericError, match="zero weight"):
+        conditional_states(model, 1.0, record, np.array([0.2, 0.7]))
+
+
 def test_conditional_states_reject_bad_query_times(small_model):
     record = ClassicalRecord(t0=0.0, tf=1.0, times=np.array([0.5]), channels=np.array([1]))
     with pytest.raises(InvalidParametersError):
         conditional_states(small_model, 1.0, record, np.array([0.9, 0.1]))
     with pytest.raises(InvalidParametersError):
         conditional_states(small_model, 1.0, record, np.array([1.5]))
+    with pytest.raises(InvalidParametersError):
+        conditional_states(small_model, 1.0, record, np.array([0.2, np.nan]))

@@ -13,7 +13,6 @@ from qsysid import (
     build_model,
     default_grid,
     effective_hamiltonian,
-    estimate_per_jump,
     estimate_time_series,
     likelihood_surface,
     log_likelihood,
@@ -347,18 +346,6 @@ def test_time_series_rejects_bad_checkpoints(small_model):
         estimate_time_series(small_model, record, grid, [1.5])
     with pytest.raises(InvalidParametersError):
         estimate_time_series(small_model, record, grid, [-0.1, 0.5])
+    with pytest.raises(InvalidParametersError):
+        estimate_time_series(small_model, record, grid, [0.2, float("nan")])
     assert estimate_time_series(small_model, record, grid, []) == []
-
-
-def test_per_jump_estimates_track_history(flux_model):
-    record = simulate_record(flux_model, 3.0, 0.0, 1.0, seed=31)
-    assert record.n_events >= 2
-    grid = GGrid(1.0, 5.0, 0.5)
-    surf = likelihood_surface(flux_model, record, grid, with_history=True)
-    per_jump = estimate_per_jump(flux_model, record, grid)
-    assert len(per_jump) == record.n_events
-    for i, est in enumerate(per_jump):
-        assert est.jump_index == i + 1
-        assert est.time == record.times[i]
-        idx = int(np.argmax(surf.history[i]))
-        assert abs(est.g_mle - grid.values[idx]) <= grid.step

@@ -13,12 +13,10 @@ from qsysid import (
     LikelihoodSurface,
     ModelParams,
     build_model,
-    emit_config,
     likelihood_surface,
     parse_config,
     read_record,
     simulate_record,
-    write_config,
     write_hist_csv,
     write_history_csv,
     write_record,
@@ -76,17 +74,24 @@ def test_parse_config_happy_path(tmp_path):
 
 
 def test_config_round_trip(tmp_path):
-    cfg = Config(
+    # every field, none at its default
+    path = write_json(
+        tmp_path,
+        {
+            "schema": "qsysid-config/1",
+            "g0_mhz": 6.0, "gamma_perp_mhz": 0.8, "kappa_mhz": 1.5, "epsilon_mhz": 2.0,
+            "n_trunc": 6, "g_true_mhz": 3.0,
+            "grid": {"min_mhz": 1.0, "max_mhz": 5.0, "step_mhz": 0.5},
+            "t0_us": 0.0, "tf_us": 2.0, "seed": 11, "n_traj": 4,
+            "checkpoints_us": [0.5, 1.0, 2.0], "refine": False, "with_history": True,
+        },
+    )
+    assert parse_config(path) == Config(
         g0=6.0, gamma_perp=0.8, kappa=1.5, epsilon=2.0, n_trunc=6,
         g_true=3.0, grid_min=1.0, grid_max=5.0, grid_step=0.5,
         t0=0.0, tf=2.0, seed=11, n_traj=4,
         checkpoints=(0.5, 1.0, 2.0), refine=False, with_history=True,
     )
-    path = tmp_path / "cfg.json"
-    write_config(path, cfg)
-    assert parse_config(path) == cfg
-    # serialization is deterministic
-    assert emit_config(cfg) == emit_config(cfg)
 
 
 def test_schema_optional_but_checked(tmp_path):
@@ -134,6 +139,7 @@ def test_missing_required_key_named(tmp_path):
         (dict(checkpoints_us=[0.5, 0.2]), "checkpoints_us"),
         (dict(checkpoints_us=[0.5, 1.5]), "checkpoints_us"),
         (dict(checkpoints_us=[-0.5]), "checkpoints_us"),
+        (dict(seed=-1), "seed"),
     ],
 )
 def test_semantic_violations_name_their_key(tmp_path, overrides, key):

@@ -5,12 +5,9 @@ from qsysid import (
     ATOM_EXCITED,
     ATOM_GROUND,
     InvalidParametersError,
-    ModeGeometry,
     ModelParams,
     basis_index,
-    basis_labels,
     build_model,
-    coupling_at_position,
     effective_hamiltonian,
     ground_vacuum,
 )
@@ -30,14 +27,6 @@ def test_basis_index_interleaves_atom_fastest():
     assert basis_index(0, ATOM_EXCITED) == 1
     assert basis_index(3, ATOM_GROUND) == 6
     assert basis_index(3, ATOM_EXCITED) == 7
-
-
-def test_basis_labels_roundtrip(small_model):
-    for i in range(small_model.dim):
-        n, s = basis_labels(i)
-        assert basis_index(n, s) == i
-        assert 0 <= n <= small_model.params.n_trunc
-        assert s in (ATOM_GROUND, ATOM_EXCITED)
 
 
 def test_annihilation_operator_matrix_elements(small_model):
@@ -141,34 +130,3 @@ def test_model_arrays_are_read_only(small_model):
 def test_params_validation(kwargs):
     with pytest.raises(InvalidParametersError):
         ModelParams(**kwargs)
-
-
-def test_coupling_at_position_standing_wave():
-    geom = ModeGeometry(wavelength=0.852, waist=20.0, position=(0.0, 0.0, 0.0))
-    assert coupling_at_position(geom, 57.0) == pytest.approx(57.0)
-    node = ModeGeometry(wavelength=0.852, waist=20.0, position=(0.852 / 4, 0.0, 0.0))
-    assert coupling_at_position(node, 57.0) == pytest.approx(0.0, abs=1e-12)
-    flipped = ModeGeometry(wavelength=0.852, waist=20.0, position=(0.852 / 2, 0.0, 0.0))
-    assert coupling_at_position(flipped, 57.0) == pytest.approx(-57.0)
-
-
-def test_coupling_at_position_radial_falloff():
-    on_axis = ModeGeometry(wavelength=0.852, waist=20.0, position=(0.0, 0.0, 0.0))
-    off_axis = ModeGeometry(wavelength=0.852, waist=20.0, position=(0.0, 12.0, 16.0))
-    g_on = coupling_at_position(on_axis, 57.0)
-    g_off = coupling_at_position(off_axis, 57.0)
-    assert g_off == pytest.approx(g_on * np.exp(-(12.0**2 + 16.0**2) / 20.0**2))
-
-
-@pytest.mark.parametrize(
-    "kwargs",
-    [
-        dict(wavelength=0.0, waist=20.0, position=(0.0, 0.0, 0.0)),
-        dict(wavelength=0.852, waist=-1.0, position=(0.0, 0.0, 0.0)),
-        dict(wavelength=0.852, waist=20.0, position=(0.0, float("nan"), 0.0)),
-        dict(wavelength=0.852, waist=20.0, position=(0.0, 0.0)),
-    ],
-)
-def test_geometry_validation(kwargs):
-    with pytest.raises(InvalidParametersError):
-        ModeGeometry(**kwargs)
