@@ -2,10 +2,12 @@
 
 One class, `Propagator`, evaluates the between-detections operator
 exp(-i*H*tau) for a stack of candidate couplings: exactly from an
-eigendecomposition of the (non-Hermitian) effective Hamiltonian, or by a
-scaling-and-squaring fallback when the eigenbasis is ill-conditioned. The
-simulator runs it on a stack of one, the scorer in `inference` on the whole
-grid. Jump times are located by inverting the squared-norm survival curve
+eigendecomposition of the (non-Hermitian) effective Hamiltonian, taken per
+connected block of its nonzero pattern, or by a scaling-and-squaring
+fallback. The path is chosen by measured error: the eigendecomposition is
+kept when it reproduces scipy's expm at the interval lengths the scorer uses.
+The simulator runs a propagator on a stack of one, the scorer in `inference`
+on the whole grid. Jump times are located by inverting the squared-norm survival curve
 with a bracketing pass plus bisection, so records carry no time-step
 discretization error beyond the bisection width.
 """
@@ -28,8 +30,7 @@ from .model import (
     ground_vacuum,
 )
 
-EIG_CONDITION_LIMIT = 1e8     # above this, diagonalization is not trusted
-EIG_RECON_RTOL = 1e-6         # sanity bound on the V L V^-1 reconstruction
+EIG_TOLERANCE = 1e-7          # eigen-path error vs expm, relative to max|expm|
 JUMP_TIME_TOL = 1e-9          # bisection window for jump times, us
 _BRACKET_BATCH = 32           # survival samples evaluated per vectorized batch
 _MAX_BISECT = 200
@@ -37,8 +38,10 @@ _MAX_BISECT = 200
 # Fallback evolution quantizes tau as q*delta + residual with delta an exact
 # power of two: U(q*delta) is a product of precomputed squared step matrices
 # (that is the squaring part of scaling-and-squaring) and the sub-delta
-# residual is a cubic Taylor step with ||H*residual|| <~ 1e-4.
+# residual is a cubic Taylor step; with ||H||_1 * delta <= 1e-3 the dropped
+# quartic term is at most x^4/24 ~ 4e-14 per step.
 LADDER_DELTA = 2.0 ** -26     # us
+LADDER_RESIDUAL_LIMIT = 1e-3
 _LADDER_REBUILD = 8           # levels between fresh expm evaluations
 
 METHOD_EIG = "eigendecomposition"
@@ -172,14 +175,61 @@ class Propagator:
         return self.from_coeffs(self.to_coeffs(states), tau)
 
 
+def _block_eig(h: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Eigenvalues, V and V^-1 of h, each connected block of its nonzero
+    pattern on its own, so V and V^-1 are exactly zero between blocks."""
+    dim = len(h)
+    link = ((h != 0) | (h.T != 0) | np.eye(dim, dtype=bool)).astype(float)
+    reach = link
+    while True:  # squaring doubles the path length covered
+        wider = ((reach @ reach) > 0).astype(float)
+        if np.array_equal(wider, reach):
+            break
+        reach = wider
+    labels = reach.argmax(axis=1)  # the smallest index each row reaches
+    w = np.empty(dim, dtype=complex)
+    v = np.zeros((dim, dim), dtype=complex)
+    v_inv = np.zeros((dim, dim), dtype=complex)
+    start = 0
+    for label in np.unique(labels):
+        rows = np.flatnonzero(labels == label)
+        cols = np.arange(start, start + rows.size)
+        w[cols], v_b = np.linalg.eig(h[np.ix_(rows, rows)])
+        v[np.ix_(rows, cols)] = v_b
+        v_inv[np.ix_(cols, rows)] = np.linalg.inv(v_b)
+        start += rows.size
+    return w, v, v_inv
+
+
+def _eig_error(h: np.ndarray, w: np.ndarray, v: np.ndarray, v_inv: np.ndarray) -> float:
+    """Worst element error of V exp(-i*Lambda*tau) V^-1 against expm(-i*H*tau),
+    relative to max|expm|, over one decay time of the fastest mode and the
+    scorer's renormalization chunk (100 of them); inf where expm is exactly
+    zero and the eigen form is not, or where no mode decays."""
+    rate = -2.0 * float(w.imag.min())
+    if not (math.isfinite(rate) and rate > 0.0):
+        return math.inf
+    worst = 0.0
+    for tau in (1.0 / rate, 100.0 / rate):
+        want = expm(-1j * tau * h)
+        got = (v * np.exp(-1j * tau * w)) @ v_inv
+        if np.any(got[want == 0] != 0):
+            return math.inf
+        worst = max(worst, float(np.abs(got - want).max() / np.abs(want).max()))
+    return worst
+
+
 def prepare_propagator(hamiltonian: EffectiveHamiltonian, method: str | None = None) -> Propagator:
     """Diagonalize H for exact interval evolution; a stack of one candidate.
 
-    Falls back to the ladder of matrix exponentials when the eigenvector
-    matrix has condition number > 1e8 or fails a reconstruction check; near
-    eigenbasis degeneracies the spectral form loses accuracy. `method`
-    forces one path (mainly for cross-checking the two against each other
-    in tests).
+    The eigendecomposition (per connected block of H) is used when its
+    propagator matches scipy's expm to EIG_TOLERANCE at the interval lengths
+    the scorer runs (see `_eig_error`) and keeps expm's exact zeros, so a
+    forbidden event still scores -inf. Otherwise the candidate walks the
+    ladder of matrix exponentials, which raises NumericError where H is too
+    large for its cubic Taylor residual. `method` forces one path (mainly
+    for cross-checking the two against each other in tests); a forced
+    eigendecomposition that fails the check raises NumericError.
     """
     h = np.asarray(hamiltonian.matrix)
     if not np.all(np.isfinite(h)):
@@ -188,20 +238,24 @@ def prepare_propagator(hamiltonian: EffectiveHamiltonian, method: str | None = N
         raise InvalidParametersError(f"unknown propagator method: {method!r}")
     empty = np.empty((0,) + h.shape, dtype=complex)  # no rows on the other path
     if method != METHOD_FALLBACK:
-        w, v = np.linalg.eig(h)
-        cond = np.linalg.cond(v)
-        usable = math.isfinite(cond) and cond <= EIG_CONDITION_LIMIT
-        if usable:
-            v_inv = np.linalg.inv(v)
-            recon_err = np.abs((v * w) @ v_inv - h).max()
-            scale = np.abs(h).max()
-            usable = recon_err <= EIG_RECON_RTOL * max(scale, 1e-300)
-        if usable:
+        try:
+            w, v, v_inv = _block_eig(h)
+        except np.linalg.LinAlgError:
+            error = math.inf
+        else:
+            error = _eig_error(h, w, v, v_inv)
+        if error <= EIG_TOLERANCE:
             return Propagator(np.ones(1, dtype=bool), w[None], v[None], v_inv[None], empty)
         if method == METHOD_EIG:
             raise NumericError(
-                f"eigendecomposition requested but unusable (cond(V) = {cond:.3g})"
+                f"eigendecomposition requested but off expm by {error:.3g} (relative)"
             )
+    residual = float(np.linalg.norm(h, 1)) * LADDER_DELTA
+    if residual > LADDER_RESIDUAL_LIMIT:
+        raise NumericError(
+            f"||H||_1 * LADDER_DELTA = {residual:.3g} exceeds {LADDER_RESIDUAL_LIMIT}: "
+            "the fallback's cubic Taylor step would not be accurate"
+        )
     return Propagator(np.zeros(1, dtype=bool), empty[:, 0], empty, empty, h[None].copy())
 
 

@@ -106,7 +106,10 @@ def posterior(loglik: np.ndarray) -> np.ndarray:
     """Normalized posterior of a log-likelihood vector for a uniform prior.
 
     Softmax with max subtraction; -inf candidates get exactly zero mass.
+    A NaN or +inf entry raises NumericError: it has no share to give.
     """
+    if np.any(np.isnan(loglik) | (loglik == np.inf)):
+        raise NumericError("log-likelihoods must be finite or -inf")
     m = float(np.max(loglik))
     if m == -np.inf:
         raise NoEstimateError("every grid candidate has zero likelihood")

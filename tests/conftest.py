@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from qsysid import ModelParams, build_model
+import qsysid.inference
+from qsysid import ModelParams, build_model, prepare_propagator
 
 # one line per acceptance criterion, printed after the run (terminal-summary
 # output is never swallowed by pytest's capture, unlike in-test prints)
@@ -36,3 +37,21 @@ def small_model():
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260822)
+
+
+@pytest.fixture
+def force_path(monkeypatch):
+    """force_path(method) makes the scorer prepare every candidate on that
+    propagator path; it returns the list the prepared propagators go to."""
+
+    def force(method):
+        built = []
+
+        def prepare(hamiltonian):
+            built.append(prepare_propagator(hamiltonian, method))
+            return built[-1]
+
+        monkeypatch.setattr(qsysid.inference, "prepare_propagator", prepare)
+        return built
+
+    return force

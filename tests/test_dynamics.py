@@ -9,6 +9,7 @@ from qsysid import (
     METHOD_EIG,
     METHOD_FALLBACK,
     ClassicalRecord,
+    EffectiveHamiltonian,
     FormatError,
     InvalidParametersError,
     ModelParams,
@@ -17,12 +18,15 @@ from qsysid import (
     basis_index,
     build_model,
     conditional_states,
+    default_grid,
     effective_hamiltonian,
     ground_vacuum,
     max_total_decay_rate,
     prepare_propagator,
     simulate_record,
 )
+
+from qsysid.dynamics import EIG_TOLERANCE, LADDER_DELTA, LADDER_RESIDUAL_LIMIT
 
 from oracles import empty_cavity_expected_counts
 
@@ -52,6 +56,47 @@ def test_prepare_propagator_method_forced(small_model):
     assert prepare_propagator(h, METHOD_EIG).method == METHOD_EIG
     with pytest.raises(InvalidParametersError):
         prepare_propagator(h, "cayley")
+
+
+def test_every_default_grid_candidate_takes_eigen_path(cavity_model, cavity_params):
+    # at the headline point cond(V) is 7e7..1.3e9, yet the eigen path is
+    # accurate for every candidate, the decoupled g = 0 included
+    methods = {
+        prepare_propagator(effective_hamiltonian(cavity_model, float(g))).method
+        for g in default_grid(cavity_params).values
+    }
+    assert methods == {METHOD_EIG}
+
+
+@pytest.mark.parametrize("g", [0.0, 40.0, 57.0])
+def test_eigen_path_matches_expm_at_simulated_window_lengths(cavity_model, g):
+    h = effective_hamiltonian(cavity_model, g)
+    prop = prepare_propagator(h)
+    assert prop.method == METHOD_EIG
+    basis = np.eye(cavity_model.dim, dtype=complex)
+    for tau in (0.1, 1.0):
+        got = np.stack([prop.evolve(e[None], tau)[0] for e in basis], axis=1)
+        want = expm(-1j * tau * h.matrix)
+        assert np.abs(got - want).max() <= EIG_TOLERANCE * np.abs(want).max()
+        assert np.all(got[want == 0] == 0)
+
+
+def test_defective_hamiltonian_falls_back():
+    # a Jordan block has no eigenbasis; the ladder needs none
+    jordan = EffectiveHamiltonian(matrix=np.array([[0, 1], [0, 0]], dtype=complex), g=0.0)
+    prop = prepare_propagator(jordan)
+    assert prop.method == METHOD_FALLBACK
+    np.testing.assert_allclose(prop.evolve(np.array([[0.0, 1.0]]), 0.5)[0], [-0.5j, 1.0], atol=1e-12)
+    with pytest.raises(NumericError):
+        prepare_propagator(jordan, METHOD_EIG)
+
+
+def test_fallback_rejects_hamiltonian_too_large_for_its_taylor_step():
+    model = build_model(ModelParams(g0=6.0, gamma_perp=1.0, kappa=1e4, epsilon=1.0, n_trunc=3))
+    h = effective_hamiltonian(model, 2.0)
+    assert np.linalg.norm(h.matrix, 1) * LADDER_DELTA > LADDER_RESIDUAL_LIMIT
+    with pytest.raises(NumericError, match="Taylor"):
+        prepare_propagator(h, METHOD_FALLBACK)
 
 
 @pytest.mark.parametrize("seed", [11, 12, 13])
@@ -332,9 +377,10 @@ def test_conditional_states_match_direct_replay(small_model, rng):
         assert norm_sq(state) == pytest.approx(1.0, abs=1e-12)
 
 
-def test_conditional_states_match_dense_replay_at_operating_dimension(cavity_model):
-    # headline point, one coupling on each propagator path; the query at
-    # 0.045 follows a gap of several renormalization chunks
+def test_conditional_states_match_dense_replay_at_operating_dimension(cavity_model, force_path):
+    # headline point, g 40 and 45 with the scorer forced onto each propagator
+    # path in turn; the query at 0.045 follows a gap of several
+    # renormalization chunks
     record = ClassicalRecord(
         t0=0.0, tf=0.1,
         times=np.array([0.004, 0.011, 0.05, 0.062]), channels=np.array([1, 0, 1, 1]),
@@ -342,24 +388,26 @@ def test_conditional_states_match_dense_replay_at_operating_dimension(cavity_mod
     queries = np.array([0.002, 0.011, 0.045, 0.1])
     max_step = 100.0 / max_total_decay_rate(cavity_model)  # the scorer's chunk length
     assert 0.045 - 0.011 >= 2 * max_step
-    for g, method in ((40.0, METHOD_FALLBACK), (45.0, METHOD_EIG)):
-        h = effective_hamiltonian(cavity_model, g)
-        assert prepare_propagator(h).method == method
-        states = conditional_states(cavity_model, g, record, queries)
-        for t_query, state in zip(queries, states):
-            psi = ground_vacuum(cavity_model)
-            t_prev = 0.0
-            for t, c in zip(record.times, record.channels):
-                if t > t_query:
-                    break
-                psi = (cavity_model.c0 if c == 0 else cavity_model.c1) @ (
-                    expm(-1j * h.matrix * (t - t_prev)) @ psi
-                )
+    for method in (METHOD_EIG, METHOD_FALLBACK):
+        built = force_path(method)
+        for g in (40.0, 45.0):
+            h = effective_hamiltonian(cavity_model, g)
+            states = conditional_states(cavity_model, g, record, queries)
+            assert built.pop().method == method
+            for t_query, state in zip(queries, states):
+                psi = ground_vacuum(cavity_model)
+                t_prev = 0.0
+                for t, c in zip(record.times, record.channels):
+                    if t > t_query:
+                        break
+                    psi = (cavity_model.c0 if c == 0 else cavity_model.c1) @ (
+                        expm(-1j * h.matrix * (t - t_prev)) @ psi
+                    )
+                    psi = psi / np.linalg.norm(psi)
+                    t_prev = t
+                psi = expm(-1j * h.matrix * (t_query - t_prev)) @ psi
                 psi = psi / np.linalg.norm(psi)
-                t_prev = t
-            psi = expm(-1j * h.matrix * (t_query - t_prev)) @ psi
-            psi = psi / np.linalg.norm(psi)
-            assert np.abs(state - psi).max() <= 1e-10, (g, t_query)
+                assert np.abs(state - psi).max() <= 1e-10, (method, g, t_query)
 
 
 def test_conditional_states_include_event_at_query_time(small_model):

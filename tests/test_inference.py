@@ -103,21 +103,33 @@ def test_streaming_likelihood_matches_dense_trace(seed):
     assert got == pytest.approx(want, rel=1e-9, abs=1e-9)
 
 
-def test_surface_matches_dense_trace_at_operating_dimension(cavity_model):
-    # n_trunc 30 (dim 62), the size the propagator runs at; the grid
-    # straddles the eigendecomposition/fallback seam, so both paths are
-    # scored against the dense oracle
+def test_surface_matches_dense_trace_at_operating_dimension(cavity_model, force_path):
+    # n_trunc 30 (dim 62), the size the propagator runs at; the scorer is
+    # forced onto each path in turn, so both are scored against the dense
+    # oracle on candidates either side of the old cond(V) seam at 42.5/43
     record = simulate_record(cavity_model, 45.0, 0.0, 0.1, seed=5)
     assert record.n_events == 44
     grid = GGrid(40.0, 45.0, 0.5)
-    methods = {
-        prepare_propagator(effective_hamiltonian(cavity_model, float(g))).method
-        for g in grid.values
-    }
-    assert methods == {METHOD_EIG, METHOD_FALLBACK}
-    surf = likelihood_surface(cavity_model, record, grid)
-    for g, got in zip(grid.values, surf.loglik):
-        assert abs(got - direct_log_density(cavity_model, record, float(g))) <= 1e-8
+    want = [direct_log_density(cavity_model, record, float(g)) for g in grid.values]
+    for method in (METHOD_EIG, METHOD_FALLBACK):
+        built = force_path(method)
+        surf = likelihood_surface(cavity_model, record, grid)
+        assert [p.method for p in built] == [method] * grid.n
+        for got, ref in zip(surf.loglik, want):
+            assert abs(got - ref) <= 1e-8, method
+
+
+@pytest.mark.parametrize("n_trunc", [18, 30])
+def test_decoupled_candidate_cannot_explain_an_atomic_detection(n_trunc):
+    # at g = 0 the atom never leaves its ground state, so a record with an
+    # atomic detection has zero likelihood; the eigen path must keep that exact
+    model = build_model(
+        ModelParams(g0=57.0, gamma_perp=2.5, kappa=30.0, epsilon=44.3, n_trunc=n_trunc)
+    )
+    record = simulate_record(model, 45.0, 0.0, 0.3, seed=3)
+    assert np.count_nonzero(record.channels == 0) == 1
+    assert prepare_propagator(effective_hamiltonian(model, 0.0)).method == METHOD_EIG
+    assert log_likelihood(model, record, 0.0) == -np.inf
 
 
 def test_surface_matches_scalar_likelihood(small_model):
