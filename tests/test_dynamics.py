@@ -26,7 +26,7 @@ from qsysid import (
     simulate_record,
 )
 
-from qsysid.dynamics import EIG_TOLERANCE, LADDER_DELTA, LADDER_RESIDUAL_LIMIT
+from qsysid.dynamics import EIG_TOLERANCE, LADDER_DELTA, LADDER_RESIDUAL_LIMIT, _expm
 
 from oracles import empty_cavity_expected_counts
 
@@ -79,6 +79,17 @@ def test_eigen_path_matches_expm_at_simulated_window_lengths(cavity_model, g):
         want = expm(-1j * tau * h.matrix)
         assert np.abs(got - want).max() <= EIG_TOLERANCE * np.abs(want).max()
         assert np.all(got[want == 0] == 0)
+
+
+@pytest.mark.parametrize("g", [0.0, 45.0])
+@pytest.mark.parametrize("tau", [1e-4, 0.01, 1.0])
+def test_path_check_reference_matches_scipy_expm(cavity_model, g, tau):
+    # the eigen path is measured against this numpy Pade exponential
+    a = -1j * tau * effective_hamiltonian(cavity_model, g).matrix
+    want = expm(a)
+    got = _expm(a)
+    assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
+    np.testing.assert_array_equal(got == 0, want == 0)
 
 
 def test_defective_hamiltonian_falls_back():
