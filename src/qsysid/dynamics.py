@@ -2,15 +2,18 @@
 
 One class, `Propagator`, evaluates the between-detections operator
 exp(-i*H*tau) for a stack of candidate couplings: exactly from an
-eigendecomposition of the (non-Hermitian) effective Hamiltonian, taken per
-connected block of its nonzero pattern, or by a scaling-and-squaring
-fallback. The path is chosen by measured error: the eigendecomposition is
-kept when it reproduces a Pade matrix exponential at the interval lengths
-the scorer uses.
-The simulator runs a propagator on a stack of one, the scorer in `inference`
-on the whole grid. Jump times are located by inverting the squared-norm survival curve
-with a bracketing pass plus bisection, so records carry no time-step
-discretization error beyond the bisection width.
+eigendecomposition of the (non-Hermitian) effective Hamiltonian H = i*A
+(A real, so it is found in real arithmetic), taken per connected block of
+its nonzero pattern, or by a scaling-and-squaring fallback. The path is
+chosen by measured error: the eigendecomposition is kept when it evolves
+the states the scorer starts from as a Pade matrix exponential does, at
+the interval lengths the scorer uses. Eigenbasis components are refined
+once against their residual, so the error on such states stays near
+rounding level although cond(V) reaches 1e9. The
+simulator runs a propagator on a stack of one, the scorer in `inference` on
+the whole grid. Jump times are located by inverting the squared-norm
+survival curve with a bracketing pass plus bisection, so records carry no
+time-step discretization error beyond the bisection width.
 """
 
 from __future__ import annotations
@@ -20,7 +23,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import expm
 
 from .errors import FormatError, InvalidParametersError, NumericError
 from .model import (
@@ -31,7 +33,7 @@ from .model import (
     ground_vacuum,
 )
 
-EIG_TOLERANCE = 1e-7          # eigen-path error vs exp(-i*H*tau), relative to its max
+EIG_TOLERANCE = 1e-10         # eigen-path error on the scorer's states, relative
 JUMP_TIME_TOL = 1e-9          # bisection window for jump times, us
 _BRACKET_BATCH = 32           # survival samples evaluated per vectorized batch
 _MAX_BISECT = 200
@@ -57,31 +59,52 @@ def _matvec(matrices: np.ndarray, vectors: np.ndarray) -> np.ndarray:
     return np.matmul(matrices, vectors[..., None])[..., 0]
 
 
+def _real_matvec(matrices: np.ndarray, vectors: np.ndarray) -> np.ndarray:
+    """Row-wise products of a real (n, d, d) and a complex (n, d) stack: real
+    and imaginary parts go through one real product, which moves half the
+    bytes of a complex one."""
+    pairs = np.ascontiguousarray(vectors).view(float).reshape(*vectors.shape, 2)
+    return np.matmul(matrices, pairs).view(complex)[..., 0]
+
+
 class Propagator:
     """exp(-i*H*tau) for a stack of candidate couplings, at any tau >= 0.
 
     Every array carries a leading candidate axis; one coupling is a stack of
-    1. Rows flagged in `eig` evolve in their eigenbasis (`eigvals`, `eigvecs`
-    and `eigvecs_inv` hold those rows, in order). The others keep their
-    matrix in `h` and walk one ladder of squared step matrices shared by the
-    whole stack and built on first use.
+    1. Rows flagged in `eig` evolve in their eigenbasis: `eigvals` and
+    `eigvecs` hold the eigenvalues and eigenvectors V of H for those rows, in
+    order. V^-1 is kept in real form, as H = i*A with A real for this model:
+    `basis_inv` inverts the real basis W whose columns are Re v and Im v for
+    each conjugate pair (v, conj v) of eigenvectors (v for a real one),
+    `partner` links the two columns of a pair, and V^-1 = T^-1 W^-1 with
+    T^-1 acting within pairs. The other rows keep their matrix in `h` and
+    walk one ladder of squared step matrices shared by the whole stack and
+    built on first use.
     """
 
-    def __init__(self, eig, eigvals, eigvecs, eigvecs_inv, h):
+    def __init__(self, eig, eigvals, eigvecs, basis_inv, partner, h):
         self.eig = eig
         self.eigvals = eigvals
         self.eigvecs = eigvecs
-        self.eigvecs_inv = eigvecs_inv
+        self.basis_inv = basis_inv
+        self.partner = partner
         self.h = h
         self._n_eig = int(np.count_nonzero(eig))
         self._rates = -1j * eigvals[:, None, :]
+        self._fastest = np.abs(eigvals).max(axis=1, initial=0.0)
         self._eigvecs_t = eigvecs.swapaxes(1, 2)
+        n, dim = partner.shape
+        self._partner_flat = (partner + dim * np.arange(n)[:, None]).ravel()
+        # T^-1: z_k = (c_k - i c_k+1)/2 and z_k+1 = (c_k + i c_k+1)/2 for a pair k, k+1
+        first, alone = partner > np.arange(dim), partner == np.arange(dim)
+        self._own_weight = np.where(alone, 1.0, np.where(first, 0.5, 0.5j))
+        self._partner_weight = np.where(alone, 0.0, np.where(first, -0.5j, 0.5))
         self._ladder: list[np.ndarray] = []
 
     @classmethod
     def stack(cls, propagators) -> "Propagator":
         """One propagator over the candidates of several, in order."""
-        names = ("eig", "eigvals", "eigvecs", "eigvecs_inv", "h")
+        names = ("eig", "eigvals", "eigvecs", "basis_inv", "partner", "h")
         return cls(*(np.concatenate([getattr(p, n) for p in propagators]) for n in names))
 
     @property
@@ -103,7 +126,7 @@ class Propagator:
         while len(self._ladder) <= level:
             j = len(self._ladder)
             if j % _LADDER_REBUILD == 0:
-                self._ladder.append(expm((-1j * LADDER_DELTA * 2.0**j) * self.h))
+                self._ladder.append(_expm((-1j * LADDER_DELTA * 2.0**j) * self.h))
             else:
                 last = self._ladder[-1]
                 self._ladder.append(last @ last)
@@ -153,11 +176,24 @@ class Propagator:
         phases = np.exp(taus[..., None] * self._rates)
         return (coeffs[:, None, :] * phases) @ self._eigvecs_t
 
+    def _from_basis(self, coeffs: np.ndarray) -> np.ndarray:
+        """V^-1 psi from W^-1 psi: T^-1 within each conjugate pair."""
+        partners = coeffs.reshape(-1)[self._partner_flat].reshape(coeffs.shape)
+        return self._own_weight * coeffs + self._partner_weight * partners
+
+    def _eig_coeffs(self, states: np.ndarray) -> np.ndarray:
+        """Eigenbasis components of the eigen rows, refined once against the
+        residual: V^-1 is only as accurate as eps * cond(V) allows, while
+        the residual of a state the scorer meets is formed almost exactly."""
+        coeffs = self._from_basis(_real_matvec(self.basis_inv, states))
+        residual = states - _matvec(self.eigvecs, coeffs)
+        return coeffs + self._from_basis(_real_matvec(self.basis_inv, residual))
+
     def to_coeffs(self, states: np.ndarray) -> np.ndarray:
         """What `from_coeffs` evolves, one row per candidate: eigenbasis
         components for the eigen rows, the (n, dim) states themselves for
         the rest. Computing it once serves any number of interval lengths."""
-        return self._by_path(states, lambda s: _matvec(self.eigvecs_inv, s), lambda s: s)
+        return self._by_path(states, self._eig_coeffs, lambda s: s)
 
     def from_coeffs(self, coeffs: np.ndarray, tau) -> np.ndarray:
         """The states after a no-detection interval tau >= 0.
@@ -169,18 +205,38 @@ class Propagator:
         out = self._by_path(coeffs, self._phase_evolve, self._walk, taus)
         return out if taus.ndim else out[:, 0]
 
+    def _eig_evolve(self, states: np.ndarray, taus: np.ndarray) -> np.ndarray:
+        """Eigen rows over one interval. A row within one turn of its fastest
+        mode (|lambda| * tau <= 1) forms the change, psi + V (e^{-i Lambda tau}
+        - 1) c, so a component psi lacks (an excited atom just after an
+        atomic detection) comes out accurate relative to itself, not to psi."""
+        turns = taus * self._rates
+        factors = np.exp(turns)
+        short = taus * self._fastest <= 1.0
+        factors[short] = np.expm1(turns[short])
+        out = (self._eig_coeffs(states)[:, None, :] * factors) @ self._eigvecs_t
+        out[short] += states[short, None, :]
+        return out
+
     def evolve(self, states: np.ndarray, tau: float) -> np.ndarray:
         """Evolve an (n, dim) state stack through a no-detection interval."""
         if tau == 0.0:
             return states.copy()
-        return self.from_coeffs(self.to_coeffs(states), tau)
+        return self._by_path(states, self._eig_evolve, self._walk, np.asarray(tau, dtype=float))[:, 0]
 
 
-def _block_eig(h: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Eigenvalues, V and V^-1 of h, each connected block of its nonzero
-    pattern on its own, so V and V^-1 are exactly zero between blocks."""
-    dim = len(h)
-    link = ((h != 0) | (h.T != 0) | np.eye(dim, dtype=bool)).astype(float)
+def _block_eig(h: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Eigenvalues and eigenvectors of h, and the inverse real basis and
+    column partners that `Propagator` keeps, found from A = -i*h in real
+    arithmetic (3x faster), each connected block of h's nonzero pattern on
+    its own, so eigenvectors and inverse are exactly zero between blocks.
+    LinAlgError where h has a real part (A is then not real) or a block's
+    basis has no inverse."""
+    if np.any(h.real):
+        raise np.linalg.LinAlgError("H has a real part")
+    a = h.imag
+    dim = len(a)
+    link = ((a != 0) | (a.T != 0) | np.eye(dim, dtype=bool)).astype(float)
     reach = link
     while True:  # squaring doubles the path length covered
         wider = ((reach @ reach) > 0).astype(float)
@@ -190,16 +246,23 @@ def _block_eig(h: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     labels = reach.argmax(axis=1)  # the smallest index each row reaches
     w = np.empty(dim, dtype=complex)
     v = np.zeros((dim, dim), dtype=complex)
-    v_inv = np.zeros((dim, dim), dtype=complex)
+    basis_inv = np.zeros((dim, dim))
+    partner = np.arange(dim)
     start = 0
     for label in np.unique(labels):
         rows = np.flatnonzero(labels == label)
         cols = np.arange(start, start + rows.size)
-        w[cols], v_b = np.linalg.eig(h[np.ix_(rows, rows)])
+        mu, v_b = np.linalg.eig(a[np.ix_(rows, rows)])
+        pair = np.flatnonzero(mu.imag > 0)  # LAPACK lists each one's conjugate next
+        basis = v_b.real.copy()
+        basis[:, pair + 1] = v_b[:, pair].imag
+        w[cols] = 1j * mu
         v[np.ix_(rows, cols)] = v_b
-        v_inv[np.ix_(cols, rows)] = np.linalg.inv(v_b)
+        basis_inv[np.ix_(cols, rows)] = np.linalg.inv(basis)
+        partner[cols[pair]] = cols[pair + 1]
+        partner[cols[pair + 1]] = cols[pair]
         start += rows.size
-    return w, v, v_inv
+    return w, v, basis_inv, partner
 
 
 # Pade [13/13] coefficients (Higham 2005, as in scipy's expm)
@@ -213,20 +276,19 @@ _PADE13_THETA = 5.371920351148152  # largest ||A||_1 at double-precision backwar
 
 
 def _expm(a: np.ndarray) -> np.ndarray:
-    """Matrix exponential by Pade [13/13] scaling and squaring in numpy.
+    """Matrix exponential of a matrix or a stack of them, by Pade [13/13]
+    scaling and squaring in numpy (one scaling for the whole stack).
 
-    The reference the eigen path is measured against, once per candidate.
-    scipy's expm computes the same thing but runs its products through
-    scipy's own BLAS; with numpy's BLAS loaded beside it, one 62x62 complex
-    product there measured 16 ms against 0.03 ms through numpy (2-core
-    x86-64 host, default OpenBLAS threads). Products and the solve keep
-    exact zeros between blocks that H does not connect.
+    The reference the eigen path is measured against and the fallback
+    ladder's rungs; the algorithm of scipy's expm, on numpy's BLAS (scipy's
+    bundled BLAS is slow beside it with default threads). Products and the
+    solve keep exact zeros between blocks that H does not connect.
     """
-    norm = float(np.linalg.norm(a, 1))
+    norm = float(np.abs(a).sum(axis=-2).max())  # largest 1-norm in the stack
     s = max(0, math.ceil(math.log2(norm / _PADE13_THETA))) if norm > 0.0 else 0
     a = a / 2.0**s
     b = _PADE13
-    ident = np.eye(len(a), dtype=a.dtype)
+    ident = np.eye(a.shape[-1], dtype=a.dtype)
     a2 = a @ a
     a4 = a2 @ a2
     a6 = a4 @ a2
@@ -240,35 +302,51 @@ def _expm(a: np.ndarray) -> np.ndarray:
     return r
 
 
-def _eig_error(h: np.ndarray, w: np.ndarray, v: np.ndarray, v_inv: np.ndarray) -> float:
-    """Worst element error of V exp(-i*Lambda*tau) V^-1 against exp(-i*H*tau)
-    by `_expm`, relative to its largest element, over one decay time of the
-    fastest mode and the scorer's renormalization chunk (100 of them); inf
-    where the reference is exactly zero and the eigen form is not, or where
-    no mode decays."""
+def _eig_error(h: np.ndarray, prop: Propagator) -> float:
+    """Relative error of the eigen path, as `Propagator` evaluates it, on the
+    states the scorer starts from: the ground vacuum (basis state 0) and
+    that state after one decay time of the fastest mode, each evolved over
+    that decay time and over the scorer's renormalization chunk (100 of
+    them), against `_expm`. inf where the eigen form is not exactly zero
+    wherever the exponential is, or where no mode decays.
+
+    Per-element measures would be the wrong test: basis states high in the
+    Fock ladder, which the scorer never holds, see cond(V) ~ 1e9 in full.
+    """
+    w, v = prop.eigvals[0], prop.eigvecs[0]
+    v_inv = prop._own_weight[0][:, None] * prop.basis_inv[0] + (
+        prop._partner_weight[0][:, None] * prop.basis_inv[0][prop.partner[0]]
+    )
     rate = -2.0 * float(w.imag.min())
     if not (math.isfinite(rate) and rate > 0.0):
         return math.inf
+    taus = (1.0 / rate, 100.0 / rate)
+    exact = [_expm(-1j * tau * h) for tau in taus]
+    probes = np.stack([exact[0][:, 0], np.eye(len(h))[0]])
+    probes /= np.linalg.norm(probes, axis=1)[:, None]
     worst = 0.0
-    for tau in (1.0 / rate, 100.0 / rate):
-        want = _expm(-1j * tau * h)
-        got = (v * np.exp(-1j * tau * w)) @ v_inv
-        if np.any(got[want == 0] != 0):
+    for tau, want in zip(taus, exact):
+        if np.any(((v * np.exp(-1j * tau * w)) @ v_inv)[want == 0] != 0):
             return math.inf
-        worst = max(worst, float(np.abs(got - want).max() / np.abs(want).max()))
+        for probe in probes:
+            got = prop.evolve(probe[None], tau)[0]
+            ref = want @ probe
+            worst = max(worst, float(np.linalg.norm(got - ref) / np.linalg.norm(ref)))
     return worst
 
 
 def prepare_propagator(hamiltonian: EffectiveHamiltonian, method: str | None = None) -> Propagator:
     """Diagonalize H for exact interval evolution; a stack of one candidate.
 
-    The eigendecomposition (per connected block of H) is used when its
-    propagator matches a Pade exponential to EIG_TOLERANCE at the interval
-    lengths the scorer runs (see `_eig_error`) and keeps its exact zeros, so a
-    forbidden event still scores -inf. Otherwise the candidate walks the
-    ladder of matrix exponentials, which raises NumericError where H is too
-    large for its cubic Taylor residual. `method` forces one path (mainly
-    for cross-checking the two against each other in tests); a forced
+    The eigendecomposition (per connected block of H, in real arithmetic, as
+    H = i*A with A real, which holds for every coupling of this model) is
+    used when it evolves the scorer's states to within EIG_TOLERANCE
+    (relative) of a Pade exponential at the interval lengths the scorer runs
+    (see `_eig_error`) and keeps its exact zeros, so a forbidden event still
+    scores -inf. Otherwise the candidate walks the ladder of matrix
+    exponentials, which raises NumericError where H is too large for its
+    cubic Taylor residual. `method` forces one path (mainly for
+    cross-checking the two against each other in tests); a forced
     eigendecomposition that fails the check raises NumericError.
     """
     h = np.asarray(hamiltonian.matrix)
@@ -276,19 +354,23 @@ def prepare_propagator(hamiltonian: EffectiveHamiltonian, method: str | None = N
         raise NumericError("effective Hamiltonian contains non-finite entries")
     if method not in (None, METHOD_EIG, METHOD_FALLBACK):
         raise InvalidParametersError(f"unknown propagator method: {method!r}")
-    empty = np.empty((0,) + h.shape, dtype=complex)  # no rows on the other path
+    dim = len(h)
+    no_eig = (np.empty((0, dim), dtype=complex), np.empty((0, dim, dim), dtype=complex),
+              np.empty((0, dim, dim)), np.empty((0, dim), dtype=int))  # no rows on the eigen path
     if method != METHOD_FALLBACK:
         try:
-            w, v, v_inv = _block_eig(h)
+            w, v, basis_inv, partner = _block_eig(h)
         except np.linalg.LinAlgError:
             error = math.inf
         else:
-            error = _eig_error(h, w, v, v_inv)
+            prop = Propagator(np.ones(1, dtype=bool), w[None], v[None], basis_inv[None],
+                              partner[None], np.empty((0, dim, dim), dtype=complex))
+            error = _eig_error(h, prop)
         if error <= EIG_TOLERANCE:
-            return Propagator(np.ones(1, dtype=bool), w[None], v[None], v_inv[None], empty)
+            return prop
         if method == METHOD_EIG:
             raise NumericError(
-                f"eigendecomposition requested but off the Pade exponential by {error:.3g} (relative)"
+                f"eigendecomposition requested but unusable: off a Pade exponential by {error:.3g} (relative)"
             )
     residual = float(np.linalg.norm(h, 1)) * LADDER_DELTA
     if residual > LADDER_RESIDUAL_LIMIT:
@@ -296,7 +378,7 @@ def prepare_propagator(hamiltonian: EffectiveHamiltonian, method: str | None = N
             f"||H||_1 * LADDER_DELTA = {residual:.3g} exceeds {LADDER_RESIDUAL_LIMIT}: "
             "the fallback's cubic Taylor step would not be accurate"
         )
-    return Propagator(np.zeros(1, dtype=bool), empty[:, 0], empty, empty, h[None].copy())
+    return Propagator(np.zeros(1, dtype=bool), *no_eig, h[None].copy())
 
 
 def max_total_decay_rate(model: Model) -> float:

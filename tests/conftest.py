@@ -1,3 +1,6 @@
+from contextlib import contextmanager
+from unittest.mock import patch
+
 import numpy as np
 import pytest
 
@@ -39,19 +42,15 @@ def rng():
     return np.random.default_rng(20260822)
 
 
-@pytest.fixture
-def force_path(monkeypatch):
-    """force_path(method) makes the scorer prepare every candidate on that
-    propagator path; it returns the list the prepared propagators go to."""
+@contextmanager
+def forced_path(method):
+    """Make the scorer prepare every candidate on one propagator path; yields
+    the list the prepared propagators go to."""
+    built = []
 
-    def force(method):
-        built = []
+    def prepare(hamiltonian):
+        built.append(prepare_propagator(hamiltonian, method))
+        return built[-1]
 
-        def prepare(hamiltonian):
-            built.append(prepare_propagator(hamiltonian, method))
-            return built[-1]
-
-        monkeypatch.setattr(qsysid.inference, "prepare_propagator", prepare)
-        return built
-
-    return force
+    with patch.object(qsysid.inference, "prepare_propagator", prepare):
+        yield built

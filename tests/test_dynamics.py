@@ -28,6 +28,7 @@ from qsysid import (
 
 from qsysid.dynamics import EIG_TOLERANCE, LADDER_DELTA, LADDER_RESIDUAL_LIMIT, _expm
 
+from conftest import forced_path
 from oracles import empty_cavity_expected_counts
 
 TWO_PI = 2.0 * np.pi
@@ -70,14 +71,23 @@ def test_every_default_grid_candidate_takes_eigen_path(cavity_model, cavity_para
 
 @pytest.mark.parametrize("g", [0.0, 40.0, 57.0])
 def test_eigen_path_matches_expm_at_simulated_window_lengths(cavity_model, g):
+    # on the states a record passes through (the ground vacuum, and after a
+    # detection on either channel) within EIG_TOLERANCE, relative; exact
+    # zeros kept for every basis state
     h = effective_hamiltonian(cavity_model, g)
     prop = prepare_propagator(h)
     assert prop.method == METHOD_EIG
+    start = expm(-0.01j * h.matrix) @ ground_vacuum(cavity_model)
+    states = [ground_vacuum(cavity_model)] + [
+        c @ start for c in (cavity_model.c0, cavity_model.c1) if np.any(c @ start)
+    ]
     basis = np.eye(cavity_model.dim, dtype=complex)
     for tau in (0.1, 1.0):
-        got = np.stack([prop.evolve(e[None], tau)[0] for e in basis], axis=1)
         want = expm(-1j * tau * h.matrix)
-        assert np.abs(got - want).max() <= EIG_TOLERANCE * np.abs(want).max()
+        for psi in states:
+            got = prop.evolve(psi[None], tau)[0]
+            assert np.linalg.norm(got - want @ psi) <= EIG_TOLERANCE * np.linalg.norm(want @ psi)
+        got = np.stack([prop.evolve(e[None], tau)[0] for e in basis], axis=1)
         assert np.all(got[want == 0] == 0)
 
 
@@ -100,6 +110,19 @@ def test_defective_hamiltonian_falls_back():
     np.testing.assert_allclose(prop.evolve(np.array([[0.0, 1.0]]), 0.5)[0], [-0.5j, 1.0], atol=1e-12)
     with pytest.raises(NumericError):
         prepare_propagator(jordan, METHOD_EIG)
+
+
+def test_hamiltonian_with_a_real_part_takes_the_ladder(small_model, rng):
+    # the eigen path works on H = i*A with A real, as every coupling of the
+    # model gives; a detuning term would add a real part
+    h = effective_hamiltonian(small_model, 2.0).matrix + np.diag(np.arange(small_model.dim, dtype=float))
+    ham = EffectiveHamiltonian(matrix=h, g=2.0)
+    prop = prepare_propagator(ham)
+    assert prop.method == METHOD_FALLBACK
+    psi = random_state(rng, small_model.dim)
+    np.testing.assert_allclose(prop.evolve(psi[None], 0.3)[0], expm(-0.3j * h) @ psi, atol=1e-11)
+    with pytest.raises(NumericError):
+        prepare_propagator(ham, METHOD_EIG)
 
 
 def test_fallback_rejects_hamiltonian_too_large_for_its_taylor_step():
@@ -388,7 +411,7 @@ def test_conditional_states_match_direct_replay(small_model, rng):
         assert norm_sq(state) == pytest.approx(1.0, abs=1e-12)
 
 
-def test_conditional_states_match_dense_replay_at_operating_dimension(cavity_model, force_path):
+def test_conditional_states_match_dense_replay_at_operating_dimension(cavity_model):
     # headline point, g 40 and 45 with the scorer forced onto each propagator
     # path in turn; the query at 0.045 follows a gap of several
     # renormalization chunks
@@ -400,11 +423,11 @@ def test_conditional_states_match_dense_replay_at_operating_dimension(cavity_mod
     max_step = 100.0 / max_total_decay_rate(cavity_model)  # the scorer's chunk length
     assert 0.045 - 0.011 >= 2 * max_step
     for method in (METHOD_EIG, METHOD_FALLBACK):
-        built = force_path(method)
         for g in (40.0, 45.0):
             h = effective_hamiltonian(cavity_model, g)
-            states = conditional_states(cavity_model, g, record, queries)
-            assert built.pop().method == method
+            with forced_path(method) as built:
+                states = conditional_states(cavity_model, g, record, queries)
+            assert [p.method for p in built] == [method]
             for t_query, state in zip(queries, states):
                 psi = ground_vacuum(cavity_model)
                 t_prev = 0.0

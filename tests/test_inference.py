@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from qsysid import (
     METHOD_EIG,
@@ -14,6 +15,7 @@ from qsysid import (
     default_grid,
     effective_hamiltonian,
     estimate_time_series,
+    ground_vacuum,
     likelihood_surface,
     log_likelihood,
     posterior_and_mle,
@@ -21,6 +23,7 @@ from qsysid import (
     simulate_record,
 )
 
+from conftest import forced_path
 from oracles import direct_log_density, random_toy_instance
 
 
@@ -103,7 +106,7 @@ def test_streaming_likelihood_matches_dense_trace(seed):
     assert got == pytest.approx(want, rel=1e-9, abs=1e-9)
 
 
-def test_surface_matches_dense_trace_at_operating_dimension(cavity_model, force_path):
+def test_surface_matches_dense_trace_at_operating_dimension(cavity_model):
     # n_trunc 30 (dim 62), the size the propagator runs at; the scorer is
     # forced onto each path in turn, so both are scored against the dense
     # oracle on candidates either side of the old cond(V) seam at 42.5/43
@@ -112,11 +115,46 @@ def test_surface_matches_dense_trace_at_operating_dimension(cavity_model, force_
     grid = GGrid(40.0, 45.0, 0.5)
     want = [direct_log_density(cavity_model, record, float(g)) for g in grid.values]
     for method in (METHOD_EIG, METHOD_FALLBACK):
-        built = force_path(method)
-        surf = likelihood_surface(cavity_model, record, grid)
+        with forced_path(method) as built:
+            surf = likelihood_surface(cavity_model, record, grid)
         assert [p.method for p in built] == [method] * grid.n
         for got, ref in zip(surf.loglik, want):
             assert abs(got - ref) <= 1e-8, method
+
+
+@pytest.mark.parametrize(("seed", "g"), [(0, 12.0), (6, 43.0)])
+def test_default_path_matches_dense_replay_on_headline_record(cavity_model, seed, g):
+    # a 0.5 us record at the headline point; without the refinement of its
+    # eigenbasis components the eigen path was off by 5.6e-8 (g 12) and
+    # 3.2e-8 (g 43)
+    record = simulate_record(cavity_model, 45.0, 0.0, 0.5, seed=seed)
+    h = effective_hamiltonian(cavity_model, g).matrix
+    psi = ground_vacuum(cavity_model)
+    want = 0.0
+    t_prev = 0.0
+    for t, c in zip(record.times, record.channels):
+        psi = (cavity_model.c0 if c == 0 else cavity_model.c1) @ (expm(-1j * h * (t - t_prev)) @ psi)
+        n2 = np.vdot(psi, psi).real
+        want += np.log(n2)
+        psi /= np.sqrt(n2)
+        t_prev = t
+    psi = expm(-1j * h * (record.tf - t_prev)) @ psi
+    want += np.log(np.vdot(psi, psi).real)
+    assert prepare_propagator(effective_hamiltonian(cavity_model, g)).method == METHOD_EIG
+    assert abs(log_likelihood(cavity_model, record, g) - want) <= 1e-9
+
+
+def test_atomic_detection_just_after_another_matches_oracle():
+    # the second detection needs the atom re-excited within 2e-18 us, a
+    # density of e^-98 that the eigen path scored as e^-88 before it formed
+    # the change over short intervals instead of the evolved state
+    model = build_model(ModelParams(g0=6.0, gamma_perp=1.0, kappa=1.0, epsilon=0.5, n_trunc=1))
+    record = ClassicalRecord(
+        t0=0.0, tf=1.0, times=np.array([0.01, np.nextafter(0.01, 1.0), 0.5]), channels=np.zeros(3)
+    )
+    assert prepare_propagator(effective_hamiltonian(model, 1.0)).method == METHOD_EIG
+    want = direct_log_density(model, record, 1.0)
+    assert log_likelihood(model, record, 1.0) == pytest.approx(want, rel=1e-9, abs=1e-9)
 
 
 @pytest.mark.parametrize("n_trunc", [18, 30])

@@ -4,16 +4,13 @@ streaming log-likelihood matches the dense oracle."""
 
 import math
 import tempfile
-from functools import partial
 from pathlib import Path
-from unittest.mock import patch
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import qsysid.inference
 from qsysid import (
     METHOD_FALLBACK,
     ClassicalRecord,
@@ -22,11 +19,11 @@ from qsysid import (
     build_model,
     log_likelihood,
     posterior,
-    prepare_propagator,
     read_record,
     write_record,
 )
 
+from conftest import forced_path
 from oracles import direct_log_density
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
@@ -108,15 +105,14 @@ def scoring_cases(draw):
 @settings(deadline=None)
 @given(scoring_cases())
 def test_streaming_likelihood_matches_dense_oracle(case):
-    # The scorer's pass on the fallback ladder (accurate to ~1e-12) must meet
-    # the oracle within 1e-9. The default path must give -inf exactly where
-    # the oracle does; its finite values are not held to 1e-9, since near an
-    # exceptional point of H (gamma_perp = kappa = epsilon = g = 1, n_trunc 1)
-    # an eigen path within EIG_TOLERANCE of expm is off by 3e-7 relative
-    # after collapses onto small amplitudes.
+    # on the path the scorer picks, and on the ladder forced, finite values
+    # within 1e-9 of the oracle and -inf exactly where it has -inf
     model, record, g = case
     want = direct_log_density(model, record, g)
-    ladder = partial(prepare_propagator, method=METHOD_FALLBACK)
-    with patch.object(qsysid.inference, "prepare_propagator", ladder):
-        assert log_likelihood(model, record, g) == pytest.approx(want, rel=1e-9, abs=1e-9)
-    assert (log_likelihood(model, record, g) == -math.inf) == (want == -math.inf)
+    with forced_path(METHOD_FALLBACK):
+        ladder = log_likelihood(model, record, g)
+    for got in (log_likelihood(model, record, g), ladder):
+        if want == -math.inf:
+            assert got == -math.inf
+        else:
+            assert got == pytest.approx(want, rel=1e-9, abs=1e-9)
