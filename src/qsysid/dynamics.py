@@ -4,14 +4,14 @@ One class, `Propagator`, evaluates the between-detections operator
 exp(-i*H*tau) for a stack of candidate couplings: exactly from an
 eigendecomposition of the (non-Hermitian) effective Hamiltonian H = i*A
 (A real, so it is found in real arithmetic), taken per connected block of
-its nonzero pattern, or by a scaling-and-squaring fallback. The path is
-chosen by measured error: the eigendecomposition is kept when it evolves
-the states the scorer starts from as a Pade matrix exponential does, at
-the interval lengths the scorer uses. Eigenbasis components are refined
-once against their residual, so the error on such states stays near
-rounding level although cond(V) reaches 1e9. The
-simulator runs a propagator on a stack of one, the scorer in `inference` on
-the whole grid. Jump times are located by inverting the squared-norm
+its nonzero pattern, or, as the fallback, by a Pade matrix exponential
+per interval length. The path is chosen by measured error: the
+eigendecomposition is kept when it evolves the states the scorer starts
+from as the Pade exponential does, at the interval lengths the scorer uses.
+Eigenbasis components are refined once against their residual, so the
+error on such states stays near rounding level although cond(V) reaches
+1e9. The simulator runs a propagator on a stack of one, the scorer in
+`inference` on the whole grid. Jump times are located by inverting the squared-norm
 survival curve with a bracketing pass plus bisection, so records carry no
 time-step discretization error beyond the bisection width.
 """
@@ -37,15 +37,6 @@ EIG_TOLERANCE = 1e-10         # eigen-path error on the scorer's states, relativ
 JUMP_TIME_TOL = 1e-9          # bisection window for jump times, us
 _BRACKET_BATCH = 32           # survival samples evaluated per vectorized batch
 _MAX_BISECT = 200
-
-# Fallback evolution quantizes tau as q*delta + residual with delta an exact
-# power of two: U(q*delta) is a product of precomputed squared step matrices
-# (that is the squaring part of scaling-and-squaring) and the sub-delta
-# residual is a cubic Taylor step; with ||H||_1 * delta <= 1e-3 the dropped
-# quartic term is at most x^4/24 ~ 4e-14 per step.
-LADDER_DELTA = 2.0 ** -26     # us
-LADDER_RESIDUAL_LIMIT = 1e-3
-_LADDER_REBUILD = 8           # levels between fresh expm evaluations
 
 METHOD_EIG = "eigendecomposition"
 METHOD_FALLBACK = "scaling-squaring-fallback"
@@ -78,8 +69,7 @@ class Propagator:
     each conjugate pair (v, conj v) of eigenvectors (v for a real one),
     `partner` links the two columns of a pair, and V^-1 = T^-1 W^-1 with
     T^-1 acting within pairs. The other rows keep their matrix in `h` and
-    walk one ladder of squared step matrices shared by the whole stack and
-    built on first use.
+    evolve by `_expm(-i*H*tau)`, one exponential per row and interval length.
     """
 
     def __init__(self, eig, eigvals, eigvecs, basis_inv, partner, h):
@@ -99,7 +89,6 @@ class Propagator:
         first, alone = partner > np.arange(dim), partner == np.arange(dim)
         self._own_weight = np.where(alone, 1.0, np.where(first, 0.5, 0.5j))
         self._partner_weight = np.where(alone, 0.0, np.where(first, -0.5j, 0.5))
-        self._ladder: list[np.ndarray] = []
 
     @classmethod
     def stack(cls, propagators) -> "Propagator":
@@ -116,48 +105,9 @@ class Propagator:
             return METHOD_FALLBACK
         raise InvalidParametersError("the candidates of this stack take different paths")
 
-    def _ladder_level(self, level: int) -> np.ndarray:
-        """exp(-i*H*LADDER_DELTA*2^level) for the fallback rows, by squaring.
-
-        Squaring doubles accumulated rounding error per level, so every
-        _LADDER_REBUILD levels the stack is recomputed from a fresh expm,
-        capping the amplification at 2**_LADDER_REBUILD.
-        """
-        while len(self._ladder) <= level:
-            j = len(self._ladder)
-            if j % _LADDER_REBUILD == 0:
-                self._ladder.append(_expm((-1j * LADDER_DELTA * 2.0**j) * self.h))
-            else:
-                last = self._ladder[-1]
-                self._ladder.append(last @ last)
-        return self._ladder[level]
-
-    def _walk(self, states: np.ndarray, taus: np.ndarray) -> np.ndarray:
-        """Fallback rows, to each tau: ladder products for the whole
-        LADDER_DELTA steps in tau, then a cubic Taylor step for the residual
-        (||H*residual|| <~ 1e-4 for any sane model, so cubic order suffices)."""
-        out = []
-        for tau in taus.reshape(-1).tolist():
-            q = int(math.floor(tau / LADDER_DELTA))
-            residual = tau - q * LADDER_DELTA
-            psi = states
-            level = 0
-            while q:
-                if q & 1:
-                    psi = _matvec(self._ladder_level(level), psi)
-                q >>= 1
-                level += 1
-            hv = _matvec(self.h, psi)
-            hhv = _matvec(self.h, hv)
-            hhhv = _matvec(self.h, hhv)
-            r2 = residual * residual
-            out.append(
-                psi
-                - (1j * residual) * hv
-                - (0.5 * r2) * hhv
-                + (1j * r2 * residual / 6.0) * hhhv
-            )
-        return np.stack(out, axis=1)
+    def _expm_evolve(self, states: np.ndarray, taus: np.ndarray) -> np.ndarray:
+        """Fallback rows, to each tau: a Pade exponential per row and tau."""
+        return _matvec(_expm(-1j * taus.reshape(-1)[None, :, None, None] * self.h[:, None]), states[:, None])
 
     def _by_path(self, rows: np.ndarray, on_eig, on_fallback, *args) -> np.ndarray:
         """on_eig on the eigen rows and on_fallback on the others, reassembled."""
@@ -202,7 +152,7 @@ class Propagator:
         (n, k, dim), row i evolved from coeffs[i] to each of them.
         """
         taus = np.asarray(tau, dtype=float)
-        out = self._by_path(coeffs, self._phase_evolve, self._walk, taus)
+        out = self._by_path(coeffs, self._phase_evolve, self._expm_evolve, taus)
         return out if taus.ndim else out[:, 0]
 
     def _eig_evolve(self, states: np.ndarray, taus: np.ndarray) -> np.ndarray:
@@ -220,9 +170,11 @@ class Propagator:
 
     def evolve(self, states: np.ndarray, tau: float) -> np.ndarray:
         """Evolve an (n, dim) state stack through a no-detection interval."""
+        if not 0.0 <= tau < math.inf:
+            raise InvalidParametersError(f"interval must be finite and >= 0, got {tau}")
         if tau == 0.0:
             return states.copy()
-        return self._by_path(states, self._eig_evolve, self._walk, np.asarray(tau, dtype=float))[:, 0]
+        return self._by_path(states, self._eig_evolve, self._expm_evolve, np.asarray(tau, dtype=float))[:, 0]
 
 
 def _block_eig(h: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -277,16 +229,18 @@ _PADE13_THETA = 5.371920351148152  # largest ||A||_1 at double-precision backwar
 
 def _expm(a: np.ndarray) -> np.ndarray:
     """Matrix exponential of a matrix or a stack of them, by Pade [13/13]
-    scaling and squaring in numpy (one scaling for the whole stack).
+    scaling and squaring in numpy, each matrix scaled by its own 1-norm (so a
+    matrix comes out the same alone or in any stack).
 
-    The reference the eigen path is measured against and the fallback
-    ladder's rungs; the algorithm of scipy's expm, on numpy's BLAS (scipy's
+    The reference the eigen path is measured against and the fallback path's
+    evolution; the algorithm of scipy's expm, on numpy's BLAS (scipy's
     bundled BLAS is slow beside it with default threads). Products and the
     solve keep exact zeros between blocks that H does not connect.
     """
-    norm = float(np.abs(a).sum(axis=-2).max())  # largest 1-norm in the stack
-    s = max(0, math.ceil(math.log2(norm / _PADE13_THETA))) if norm > 0.0 else 0
-    a = a / 2.0**s
+    norms = np.abs(a).sum(axis=-2).max(axis=-1)
+    s = np.array([max(0, math.ceil(math.log2(x / _PADE13_THETA))) if x > 0.0 else 0
+                  for x in norms.ravel().tolist()]).reshape(norms.shape)
+    a = a / 2.0 ** s[..., None, None]
     b = _PADE13
     ident = np.eye(a.shape[-1], dtype=a.dtype)
     a2 = a @ a
@@ -297,8 +251,10 @@ def _expm(a: np.ndarray) -> np.ndarray:
     v = (a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2)
          + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * ident)
     r = np.linalg.solve(v - u, v + u)
-    for _ in range(s):
-        r = r @ r
+    for j in range(int(s.max(initial=0))):
+        more = s > j  # the matrices not yet squared s times
+        part = r[more]
+        r[more] = part @ part
     return r
 
 
@@ -307,11 +263,16 @@ def _eig_error(h: np.ndarray, prop: Propagator) -> float:
     states the scorer starts from: the ground vacuum (basis state 0) and
     that state after one decay time of the fastest mode, each evolved over
     that decay time and over the scorer's renormalization chunk (100 of
-    them), against `_expm`. inf where the eigen form is not exactly zero
-    wherever the exponential is, or where no mode decays.
+    them), against `_expm`. Over the chunk, also on the share of the state
+    each detection channel sees and renormalizes to: the excited atom, and
+    the field weighted by sqrt(n) (basis index 2n + s); as g -> 0 the atom's
+    share is O(g) and its error grows as 1/g. inf where the eigen form is
+    not exactly zero wherever the exponential is, or where no mode decays.
 
     Per-element measures would be the wrong test: basis states high in the
     Fock ladder, which the scorer never holds, see cond(V) ~ 1e9 in full.
+    After one decay time the shares are still growing from zero, and off by
+    up to 1e-8 at the headline point (5e-12 over the chunk).
     """
     w, v = prop.eigvals[0], prop.eigvecs[0]
     v_inv = prop._own_weight[0][:, None] * prop.basis_inv[0] + (
@@ -324,14 +285,18 @@ def _eig_error(h: np.ndarray, prop: Propagator) -> float:
     exact = [_expm(-1j * tau * h) for tau in taus]
     probes = np.stack([exact[0][:, 0], np.eye(len(h))[0]])
     probes /= np.linalg.norm(probes, axis=1)[:, None]
+    index = np.arange(len(h))
+    views = np.stack([np.ones(len(h)), index % 2, np.sqrt(index // 2)])  # all, atom, field
     worst = 0.0
-    for tau, want in zip(taus, exact):
+    for tau, want, n_views in zip(taus, exact, (1, 3)):
         if np.any(((v * np.exp(-1j * tau * w)) @ v_inv)[want == 0] != 0):
             return math.inf
         for probe in probes:
             got = prop.evolve(probe[None], tau)[0]
             ref = want @ probe
-            worst = max(worst, float(np.linalg.norm(got - ref) / np.linalg.norm(ref)))
+            err, size = (np.linalg.norm(views[:n_views] * x, axis=1) for x in (got - ref, ref))
+            # a share whose norm underflows to 0 passes only without error
+            worst = max(worst, float(np.max(err / np.maximum(size, np.finfo(float).tiny))))
     return worst
 
 
@@ -343,11 +308,12 @@ def prepare_propagator(hamiltonian: EffectiveHamiltonian, method: str | None = N
     used when it evolves the scorer's states to within EIG_TOLERANCE
     (relative) of a Pade exponential at the interval lengths the scorer runs
     (see `_eig_error`) and keeps its exact zeros, so a forbidden event still
-    scores -inf. Otherwise the candidate walks the ladder of matrix
-    exponentials, which raises NumericError where H is too large for its
-    cubic Taylor residual. `method` forces one path (mainly for
-    cross-checking the two against each other in tests); a forced
-    eigendecomposition that fails the check raises NumericError.
+    scores -inf. Otherwise the candidate evolves by a Pade exponential per
+    interval length, which needs no eigenbasis (a defective H, an H with a
+    real part) but costs a dense exponential per interval. `method` forces
+    one path (mainly for cross-checking the two against each other in
+    tests); a forced eigendecomposition that fails the check raises
+    NumericError.
     """
     h = np.asarray(hamiltonian.matrix)
     if not np.all(np.isfinite(h)):
@@ -372,12 +338,6 @@ def prepare_propagator(hamiltonian: EffectiveHamiltonian, method: str | None = N
             raise NumericError(
                 f"eigendecomposition requested but unusable: off a Pade exponential by {error:.3g} (relative)"
             )
-    residual = float(np.linalg.norm(h, 1)) * LADDER_DELTA
-    if residual > LADDER_RESIDUAL_LIMIT:
-        raise NumericError(
-            f"||H||_1 * LADDER_DELTA = {residual:.3g} exceeds {LADDER_RESIDUAL_LIMIT}: "
-            "the fallback's cubic Taylor step would not be accurate"
-        )
     return Propagator(np.zeros(1, dtype=bool), *no_eig, h[None].copy())
 
 

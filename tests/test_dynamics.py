@@ -21,15 +21,16 @@ from qsysid import (
     default_grid,
     effective_hamiltonian,
     ground_vacuum,
+    log_likelihood,
     max_total_decay_rate,
     prepare_propagator,
     simulate_record,
 )
 
-from qsysid.dynamics import EIG_TOLERANCE, LADDER_DELTA, LADDER_RESIDUAL_LIMIT, _expm
+from qsysid.dynamics import EIG_TOLERANCE, _expm
 
 from conftest import forced_path
-from oracles import empty_cavity_expected_counts
+from oracles import direct_log_density, empty_cavity_expected_counts
 
 TWO_PI = 2.0 * np.pi
 
@@ -103,13 +104,24 @@ def test_path_check_reference_matches_scipy_expm(cavity_model, g, tau):
 
 
 def test_defective_hamiltonian_falls_back():
-    # a Jordan block has no eigenbasis; the ladder needs none
+    # a Jordan block has no eigenbasis; the fallback needs none
     jordan = EffectiveHamiltonian(matrix=np.array([[0, 1], [0, 0]], dtype=complex), g=0.0)
     prop = prepare_propagator(jordan)
     assert prop.method == METHOD_FALLBACK
     np.testing.assert_allclose(prop.evolve(np.array([[0.0, 1.0]]), 0.5)[0], [-0.5j, 1.0], atol=1e-12)
     with pytest.raises(NumericError):
         prepare_propagator(jordan, METHOD_EIG)
+
+
+@pytest.mark.parametrize("g", [1e-9, 1e-6])
+def test_vanishing_coupling_scores_like_dense_oracle(small_model, g):
+    # the atom's share of the state is O(g), and the eigen path's error on it
+    # grows as 1/g: off by 8e-9 (relative) at g = 1e-9, so the check sends it
+    # to the fallback
+    record = ClassicalRecord(t0=0.0, tf=1.0, times=np.array([0.2, 0.5, 0.7]), channels=np.array([1, 0, 1]))
+    assert prepare_propagator(effective_hamiltonian(small_model, g)).method == METHOD_FALLBACK
+    want = direct_log_density(small_model, record, g)
+    assert log_likelihood(small_model, record, g) == pytest.approx(want, rel=1e-9, abs=1e-9)
 
 
 def test_hamiltonian_with_a_real_part_takes_the_ladder(small_model, rng):
@@ -125,12 +137,27 @@ def test_hamiltonian_with_a_real_part_takes_the_ladder(small_model, rng):
         prepare_propagator(ham, METHOD_EIG)
 
 
-def test_fallback_rejects_hamiltonian_too_large_for_its_taylor_step():
+@pytest.mark.parametrize("g", [0.0, 2.0])
+def test_fallback_scores_large_hamiltonian_like_dense_oracle(g):
+    # ||H||_1 ~ 2e5 rad/us: the fallback scales each exponential by its own norm
     model = build_model(ModelParams(g0=6.0, gamma_perp=1.0, kappa=1e4, epsilon=1.0, n_trunc=3))
-    h = effective_hamiltonian(model, 2.0)
-    assert np.linalg.norm(h.matrix, 1) * LADDER_DELTA > LADDER_RESIDUAL_LIMIT
-    with pytest.raises(NumericError, match="Taylor"):
-        prepare_propagator(h, METHOD_FALLBACK)
+    record = ClassicalRecord(t0=0.0, tf=1e-4, times=np.array([2e-5, 6e-5]), channels=np.array([1, 0]))
+    with forced_path(METHOD_FALLBACK) as built:
+        got = log_likelihood(model, record, g)
+    assert [p.method for p in built] == [METHOD_FALLBACK]
+    want = direct_log_density(model, record, g)
+    if want == -math.inf:
+        assert got == -math.inf
+    else:
+        assert got == pytest.approx(want, rel=1e-9, abs=1e-9)
+
+
+@pytest.mark.parametrize("method", [METHOD_EIG, METHOD_FALLBACK])
+@pytest.mark.parametrize("tau", [-0.5, math.inf, math.nan])
+def test_evolve_rejects_negative_or_non_finite_interval(small_model, method, tau):
+    prop = prepare_propagator(effective_hamiltonian(small_model, 3.0), method)
+    with pytest.raises(InvalidParametersError):
+        prop.evolve(ground_vacuum(small_model)[None], tau)
 
 
 @pytest.mark.parametrize("seed", [11, 12, 13])
