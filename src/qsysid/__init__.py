@@ -37,6 +37,7 @@ from .inference import (
     Estimate,
     GGrid,
     LikelihoodSurface,
+    PreparedGrid,
     conditional_states,
     default_grid,
     estimate_time_series,
@@ -44,6 +45,7 @@ from .inference import (
     log_likelihood,
     posterior,
     posterior_and_mle,
+    prepare_grid,
 )
 from .io import (
     CONFIG_SCHEMA,

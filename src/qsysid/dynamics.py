@@ -1,19 +1,24 @@
 """Conditional no-detection evolution and Monte Carlo quantum-jump records.
 
 One class, `Propagator`, evaluates the between-detections operator
-exp(-i*H*tau) for a stack of candidate couplings: exactly from an
-eigendecomposition of the (non-Hermitian) effective Hamiltonian H = i*A
-(A real, so it is found in real arithmetic), taken per connected block of
-its nonzero pattern, or, as the fallback, by a Pade matrix exponential
-per interval length. The path is chosen by measured error: the
-eigendecomposition is kept when it evolves the states the scorer starts
-from as the Pade exponential does, at the interval lengths the scorer uses.
-Eigenbasis components are refined once against their residual, so the
-error on such states stays near rounding level although cond(V) reaches
-1e9. The simulator runs a propagator on a stack of one, the scorer in
-`inference` on the whole grid. Jump times are located by inverting the squared-norm
-survival curve with a bracketing pass plus bisection, so records carry no
-time-step discretization error beyond the bisection width.
+exp(-i*H*tau) for a stack of candidate couplings. As H = i*A with A real
+for every coupling of this model, that operator is exp(A*tau), real, and
+the propagator evolves states exactly in the real eigenbasis W of A (the
+real and imaginary parts of each conjugate pair of eigenvectors), found
+in real arithmetic per connected block of H's nonzero pattern: in the
+coordinates y = W^-1 psi an interval only turns and scales each pair. The
+fallback is a Pade matrix exponential per interval length. The path is
+chosen by measured error: the eigenbasis is kept when it evolves the
+states the scorer starts from as the real Pade exponential does, at the
+interval lengths the scorer uses. Coordinates are refined once against
+their residual, so the error on such states stays near rounding level
+although cond(W) reaches 1e9. `Detector` applies a collapse operator in
+the same coordinates, as one real product with W^-1 C W refined once.
+
+The simulator runs a propagator on a stack of one, the scorer in
+`inference` on the whole grid. Jump times are located by inverting the
+squared-norm survival curve with a bracketing pass plus bisection, so
+records carry no time-step discretization error beyond the bisection width.
 """
 
 from __future__ import annotations
@@ -51,9 +56,11 @@ def _matvec(matrices: np.ndarray, vectors: np.ndarray) -> np.ndarray:
 
 
 def _real_matvec(matrices: np.ndarray, vectors: np.ndarray) -> np.ndarray:
-    """Row-wise products of a real (n, d, d) and a complex (n, d) stack: real
-    and imaginary parts go through one real product, which moves half the
-    bytes of a complex one."""
+    """Row-wise products of a real (n, d, d) and a real or complex (n, d)
+    stack: a complex stack's real and imaginary parts go through one real
+    product, which moves half the bytes of a complex one."""
+    if not np.iscomplexobj(vectors):
+        return _matvec(matrices, vectors)
     pairs = np.ascontiguousarray(vectors).view(float).reshape(*vectors.shape, 2)
     return np.matmul(matrices, pairs).view(complex)[..., 0]
 
@@ -62,38 +69,55 @@ class Propagator:
     """exp(-i*H*tau) for a stack of candidate couplings, at any tau >= 0.
 
     Every array carries a leading candidate axis; one coupling is a stack of
-    1. Rows flagged in `eig` evolve in their eigenbasis: `eigvals` and
-    `eigvecs` hold the eigenvalues and eigenvectors V of H for those rows, in
-    order. V^-1 is kept in real form, as H = i*A with A real for this model:
-    `basis_inv` inverts the real basis W whose columns are Re v and Im v for
-    each conjugate pair (v, conj v) of eigenvectors (v for a real one),
-    `partner` links the two columns of a pair, and V^-1 = T^-1 W^-1 with
-    T^-1 acting within pairs. The other rows keep their matrix in `h` and
-    evolve by `_expm(-i*H*tau)`, one exponential per row and interval length.
+    1. H = i*A with A real for every coupling of this model, so the interval
+    operator exp(-i*H*tau) = exp(A*tau) is real. Rows flagged in `eig`
+    evolve in the real eigenbasis of A: the columns of `basis` (W) are Re v
+    and Im v for each conjugate pair (v, conj v) of eigenvectors of A (v for
+    a real one), `basis_inv` is W^-1, `partner` links the two columns of a
+    pair (a real eigenvector's column is its own partner), and `eigvals`
+    holds, per column, the eigenvalue mu = sigma + i*omega of the
+    eigenvector it came from (that of v, then that of conj v). In the
+    coordinates y = W^-1 psi an interval tau turns each pair, with
+    e^{mu tau} taken per column, as
+
+        y_k -> Re(e^{mu_k tau}) y_k + Im(e^{mu_k tau}) y_partner(k),
+
+    that is e^{sigma tau} (cos(omega tau) y_k + sin(omega tau) y_k+1) for
+    the first column of a pair and e^{sigma tau} (cos(omega tau) y_k+1 -
+    sin(omega tau) y_k) for the second. The eigen arrays hold the eigen
+    rows only, in order; the other rows keep their matrix in `h` and evolve
+    by `_expm(-i*H*tau)`, one exponential per row and interval length.
+
+    The scorer in `inference` holds its states in the form `to_coords`
+    gives (y on eigen rows, psi on the others) and moves them with `turn`,
+    `step` and `Detector`; `evolve` maps states to states, and
+    `to_coeffs`/`from_coeffs` serve the simulator's survival search.
     """
 
-    def __init__(self, eig, eigvals, eigvecs, basis_inv, partner, h):
+    def __init__(self, eig, eigvals, basis, basis_inv, partner, h):
         self.eig = eig
         self.eigvals = eigvals
-        self.eigvecs = eigvecs
+        self.basis = basis
         self.basis_inv = basis_inv
         self.partner = partner
         self.h = h
         self._n_eig = int(np.count_nonzero(eig))
-        self._rates = -1j * eigvals[:, None, :]
         self._fastest = np.abs(eigvals).max(axis=1, initial=0.0)
-        self._eigvecs_t = eigvecs.swapaxes(1, 2)
         n, dim = partner.shape
-        self._partner_flat = (partner + dim * np.arange(n)[:, None]).ravel()
-        # T^-1: z_k = (c_k - i c_k+1)/2 and z_k+1 = (c_k + i c_k+1)/2 for a pair k, k+1
-        first, alone = partner > np.arange(dim), partner == np.arange(dim)
-        self._own_weight = np.where(alone, 1.0, np.where(first, 0.5, 0.5j))
-        self._partner_weight = np.where(alone, 0.0, np.where(first, -0.5j, 0.5))
+        rows = dim * np.arange(n)[:, None]
+        self._partner_flat = (partner + rows).ravel()
+        # a pair's second column turns by the conjugate of its first one's
+        # factor, so `turn` exponentiates the first columns (and real ones) only
+        first = partner >= np.arange(dim)
+        self._first_rates = eigvals[first]
+        leader = (np.minimum(partner, np.arange(dim)) + rows).ravel()
+        self._first_of = (np.cumsum(first.ravel()) - 1)[leader]  # index into _first_rates
+        self._imag_sign = np.where(first, 1.0, -1.0)
 
     @classmethod
     def stack(cls, propagators) -> "Propagator":
         """One propagator over the candidates of several, in order."""
-        names = ("eig", "eigvals", "eigvecs", "basis_inv", "partner", "h")
+        names = ("eig", "eigvals", "basis", "basis_inv", "partner", "h")
         return cls(*(np.concatenate([getattr(p, n) for p in propagators]) for n in names))
 
     @property
@@ -105,45 +129,112 @@ class Propagator:
             return METHOD_FALLBACK
         raise InvalidParametersError("the candidates of this stack take different paths")
 
+    def _by_path(self, on_eig, on_fallback, *stacks) -> np.ndarray:
+        """on_eig on the eigen rows of the stacks and on_fallback on the
+        others, reassembled."""
+        if self._n_eig == len(self.eig):
+            return on_eig(*stacks)
+        if self._n_eig == 0:
+            return on_fallback(*stacks)
+        eig_part = on_eig(*(s[self.eig] for s in stacks))
+        out = np.empty((len(self.eig),) + eig_part.shape[1:], dtype=complex)
+        out[self.eig] = eig_part
+        out[~self.eig] = on_fallback(*(s[~self.eig] for s in stacks))
+        return out
+
     def _expm_evolve(self, states: np.ndarray, taus: np.ndarray) -> np.ndarray:
         """Fallback rows, to each tau: a Pade exponential per row and tau."""
         return _matvec(_expm(-1j * taus.reshape(-1)[None, :, None, None] * self.h[:, None]), states[:, None])
 
-    def _by_path(self, rows: np.ndarray, on_eig, on_fallback, *args) -> np.ndarray:
-        """on_eig on the eigen rows and on_fallback on the others, reassembled."""
-        if self._n_eig == len(rows):
-            return on_eig(rows, *args)
-        if self._n_eig == 0:
-            return on_fallback(rows, *args)
-        eig_part = on_eig(rows[self.eig], *args)
-        out = np.empty(rows.shape[:1] + eig_part.shape[1:], dtype=complex)
-        out[self.eig] = eig_part
-        out[~self.eig] = on_fallback(rows[~self.eig], *args)
+    def _coords(self, states: np.ndarray) -> np.ndarray:
+        """Eigen rows: W^-1 psi, refined once against the residual. W^-1 is
+        only as accurate as eps * cond(W) allows, while the residual of a
+        state the scorer meets is formed almost exactly."""
+        coords = _real_matvec(self.basis_inv, states)
+        return coords + _real_matvec(self.basis_inv, states - _real_matvec(self.basis, coords))
+
+    def _partners(self, coords: np.ndarray) -> np.ndarray:
+        """Eigen rows: each coordinate's pair partner."""
+        return coords.reshape(-1)[self._partner_flat].reshape(coords.shape)
+
+    def _turned(self, coords: np.ndarray, real: np.ndarray, imag: np.ndarray) -> np.ndarray:
+        """Eigen rows: coordinates weighted by the real and imaginary parts
+        of per-column turn factors, as an interval turns them."""
+        return real * coords + imag * self._partners(coords)
+
+    def _eig_evolve(self, states, coords, taus, short) -> np.ndarray:
+        """Eigen rows over one interval. A `short` row forms the change,
+        psi + W (e^{mu tau} - 1) y turned, so a component psi lacks (an
+        excited atom just after an atomic detection) comes out accurate
+        relative to itself, not to psi."""
+        turns = taus * self.eigvals
+        turns = np.where(short[:, None], np.expm1(turns), np.exp(turns))
+        out = _real_matvec(self.basis, self._turned(coords, turns.real, turns.imag))
+        out[short] += states[short]
         return out
 
-    def _phase_evolve(self, coeffs: np.ndarray, taus: np.ndarray) -> np.ndarray:
-        """Eigen rows: turn each eigencomponent by exp(-i*lambda*tau), map back."""
-        phases = np.exp(taus[..., None] * self._rates)
-        return (coeffs[:, None, :] * phases) @ self._eigvecs_t
+    def to_coords(self, states: np.ndarray) -> np.ndarray:
+        """The scorer's form of an (n, dim) state stack: the refined
+        coordinates y = W^-1 psi on eigen rows, the states on the others."""
+        return self._by_path(self._coords, np.copy, states)
 
-    def _from_basis(self, coeffs: np.ndarray) -> np.ndarray:
-        """V^-1 psi from W^-1 psi: T^-1 within each conjugate pair."""
-        partners = coeffs.reshape(-1)[self._partner_flat].reshape(coeffs.shape)
-        return self._own_weight * coeffs + self._partner_weight * partners
+    def from_coords(self, coords: np.ndarray) -> np.ndarray:
+        """The states that the `to_coords` form holds (W y on eigen rows)."""
+        return self._by_path(lambda y: _real_matvec(self.basis, y), np.copy, coords)
 
-    def _eig_coeffs(self, states: np.ndarray) -> np.ndarray:
-        """Eigenbasis components of the eigen rows, refined once against the
-        residual: V^-1 is only as accurate as eps * cond(V) allows, while
-        the residual of a state the scorer meets is formed almost exactly."""
-        coeffs = self._from_basis(_real_matvec(self.basis_inv, states))
-        residual = states - _matvec(self.eigvecs, coeffs)
-        return coeffs + self._from_basis(_real_matvec(self.basis_inv, residual))
+    def turn(self, coords: np.ndarray, tau: float) -> np.ndarray:
+        """The `to_coords` form after a no-detection interval tau > 0."""
+        taus = np.asarray(tau, dtype=float)
+
+        def on_eig(y):
+            turns = np.exp(taus * self._first_rates)[self._first_of].reshape(y.shape)
+            return self._turned(y, turns.real, turns.imag * self._imag_sign)
+
+        return self._by_path(on_eig, lambda s: self._expm_evolve(s, taus)[:, 0], coords)
+
+    def step(self, states: np.ndarray, coords: np.ndarray, tau: float) -> np.ndarray:
+        """The states after an interval tau from `states`, whose `to_coords`
+        form is `coords`, by the change on every eigen row. Exact in its
+        small shares where `states` is; meant for intervals too short for
+        any share to decay far, where the change is no larger than psi."""
+        taus = np.asarray(tau, dtype=float)
+        return self._by_path(
+            lambda s, y: self._eig_evolve(s, y, taus, np.ones(len(s), dtype=bool)),
+            lambda s, y: self._expm_evolve(s, taus)[:, 0], states, coords,
+        )
+
+    def evolve(self, states: np.ndarray, tau: float) -> np.ndarray:
+        """Evolve an (n, dim) state stack through a no-detection interval;
+        an eigen row within one turn of its fastest mode (|mu| * tau <= 1)
+        by the change."""
+        if not 0.0 <= tau < math.inf:
+            raise InvalidParametersError(f"interval must be finite and >= 0, got {tau}")
+        if tau == 0.0:
+            return states.copy()
+        taus = np.asarray(tau, dtype=float)
+        return self._by_path(
+            lambda s: self._eig_evolve(s, self._coords(s), taus, taus * self._fastest <= 1.0),
+            lambda s: self._expm_evolve(s, taus)[:, 0], states,
+        )
 
     def to_coeffs(self, states: np.ndarray) -> np.ndarray:
-        """What `from_coeffs` evolves, one row per candidate: eigenbasis
-        components for the eigen rows, the (n, dim) states themselves for
-        the rest. Computing it once serves any number of interval lengths."""
-        return self._by_path(states, self._eig_coeffs, lambda s: s)
+        """What `from_coeffs` evolves, for a stack whose candidates take one
+        path. On the eigen path, the weights B = [W y, W y_partner] with
+        their columns interleaved, (n, dim, 2*dim), so that the state after
+        tau is B applied to the interleaved real and imaginary parts of
+        e^{mu tau}; a segment pays for B once, then one product per interval
+        length. On the fallback, the states. States without an imaginary
+        part (all of them from a real start, as A and the collapse operators
+        are real) give a real B."""
+        if self.method == METHOD_FALLBACK:
+            return states
+        if np.iscomplexobj(states) and not np.any(states.imag):
+            states = states.real
+        coords = self._coords(states)
+        weights = np.empty(self.basis.shape[:2] + (2 * self.basis.shape[2],), dtype=coords.dtype)
+        np.multiply(self.basis, coords[:, None], out=weights[..., 0::2])
+        np.multiply(self.basis, self._partners(coords)[:, None], out=weights[..., 1::2])
+        return weights
 
     def from_coeffs(self, coeffs: np.ndarray, tau) -> np.ndarray:
         """The states after a no-detection interval tau >= 0.
@@ -152,38 +243,53 @@ class Propagator:
         (n, k, dim), row i evolved from coeffs[i] to each of them.
         """
         taus = np.asarray(tau, dtype=float)
-        out = self._by_path(coeffs, self._phase_evolve, self._expm_evolve, taus)
+        if self.method == METHOD_FALLBACK:
+            out = self._expm_evolve(coeffs, taus)
+        else:
+            turns = np.exp(taus.reshape(-1)[None, :, None] * self.eigvals[:, None])
+            out = np.matmul(turns.view(float), coeffs.swapaxes(1, 2))
         return out if taus.ndim else out[:, 0]
 
-    def _eig_evolve(self, states: np.ndarray, taus: np.ndarray) -> np.ndarray:
-        """Eigen rows over one interval. A row within one turn of its fastest
-        mode (|lambda| * tau <= 1) forms the change, psi + V (e^{-i Lambda tau}
-        - 1) c, so a component psi lacks (an excited atom just after an
-        atomic detection) comes out accurate relative to itself, not to psi."""
-        turns = taus * self._rates
-        factors = np.exp(turns)
-        short = taus * self._fastest <= 1.0
-        factors[short] = np.expm1(turns[short])
-        out = (self._eig_coeffs(states)[:, None, :] * factors) @ self._eigvecs_t
-        out[short] += states[short, None, :]
-        return out
 
-    def evolve(self, states: np.ndarray, tau: float) -> np.ndarray:
-        """Evolve an (n, dim) state stack through a no-detection interval."""
-        if not 0.0 <= tau < math.inf:
-            raise InvalidParametersError(f"interval must be finite and >= 0, got {tau}")
-        if tau == 0.0:
-            return states.copy()
-        return self._by_path(states, self._eig_evolve, self._expm_evolve, np.asarray(tau, dtype=float))[:, 0]
+class Detector:
+    """A collapse operator C, real with at most one nonzero per row (an
+    index shift and scale, as both of the model's are), applied to a
+    propagator's stack in either form: `on_states` shifts and scales psi;
+    `on_coords` applies it to the `to_coords` form, on eigen rows as one
+    real product with M = W^-1 C W, which is built here and refined once
+    against its residual C W - W M, so it is as accurate as C W and W M can
+    be formed."""
+
+    def __init__(self, propagator: Propagator, collapse: np.ndarray):
+        c = np.asarray(collapse).real
+        self._source = np.argmax(c != 0, axis=1)
+        self._scale = c[np.arange(len(c)), self._source]
+        if np.count_nonzero(c) != np.count_nonzero(self._scale):
+            raise InvalidParametersError("a collapse operator must have at most one nonzero per row")
+        self._in_basis = np.empty_like(propagator.basis)
+        # row by row, so that no temporary is the size of the whole stack
+        for w, w_inv, m in zip(propagator.basis, propagator.basis_inv, self._in_basis):
+            cw = self._scale[:, None] * w[self._source]
+            m[:] = w_inv @ cw
+            cw -= w @ m
+            m += w_inv @ cw
+        self._propagator = propagator
+
+    def on_states(self, states: np.ndarray) -> np.ndarray:
+        """C psi for each row of an (n, dim) stack."""
+        return self._scale * states[:, self._source]
+
+    def on_coords(self, coords: np.ndarray) -> np.ndarray:
+        """C applied to the `to_coords` form of the propagator's stack."""
+        return self._propagator._by_path(lambda y: _real_matvec(self._in_basis, y), self.on_states, coords)
 
 
 def _block_eig(h: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Eigenvalues and eigenvectors of h, and the inverse real basis and
-    column partners that `Propagator` keeps, found from A = -i*h in real
-    arithmetic (3x faster), each connected block of h's nonzero pattern on
-    its own, so eigenvectors and inverse are exactly zero between blocks.
-    LinAlgError where h has a real part (A is then not real) or a block's
-    basis has no inverse."""
+    """The eigenvalues, real basis, inverse real basis and column partners
+    that `Propagator` keeps, found from A = -i*h in real arithmetic, each
+    connected block of h's nonzero pattern on its own, so basis and inverse
+    are exactly zero between blocks. LinAlgError where h has a real part (A
+    is then not real) or a block's basis has no inverse."""
     if np.any(h.real):
         raise np.linalg.LinAlgError("H has a real part")
     a = h.imag
@@ -196,25 +302,25 @@ def _block_eig(h: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.nd
             break
         reach = wider
     labels = reach.argmax(axis=1)  # the smallest index each row reaches
-    w = np.empty(dim, dtype=complex)
-    v = np.zeros((dim, dim), dtype=complex)
+    mu = np.empty(dim, dtype=complex)
+    basis = np.zeros((dim, dim))
     basis_inv = np.zeros((dim, dim))
     partner = np.arange(dim)
     start = 0
     for label in np.unique(labels):
         rows = np.flatnonzero(labels == label)
         cols = np.arange(start, start + rows.size)
-        mu, v_b = np.linalg.eig(a[np.ix_(rows, rows)])
-        pair = np.flatnonzero(mu.imag > 0)  # LAPACK lists each one's conjugate next
-        basis = v_b.real.copy()
-        basis[:, pair + 1] = v_b[:, pair].imag
-        w[cols] = 1j * mu
-        v[np.ix_(rows, cols)] = v_b
-        basis_inv[np.ix_(cols, rows)] = np.linalg.inv(basis)
+        mu_b, v_b = np.linalg.eig(a[np.ix_(rows, rows)])
+        pair = np.flatnonzero(mu_b.imag > 0)  # LAPACK lists each one's conjugate next
+        w_b = v_b.real.copy()
+        w_b[:, pair + 1] = v_b[:, pair].imag
+        mu[cols] = mu_b
+        basis[np.ix_(rows, cols)] = w_b
+        basis_inv[np.ix_(cols, rows)] = np.linalg.inv(w_b)
         partner[cols[pair]] = cols[pair + 1]
         partner[cols[pair + 1]] = cols[pair]
         start += rows.size
-    return w, v, basis_inv, partner
+    return mu, basis, basis_inv, partner
 
 
 # Pade [13/13] coefficients (Higham 2005, as in scipy's expm)
@@ -259,40 +365,43 @@ def _expm(a: np.ndarray) -> np.ndarray:
 
 
 def _eig_error(h: np.ndarray, prop: Propagator) -> float:
-    """Relative error of the eigen path, as `Propagator` evaluates it, on the
-    states the scorer starts from: the ground vacuum (basis state 0) and
-    that state after one decay time of the fastest mode, each evolved over
-    that decay time and over the scorer's renormalization chunk (100 of
-    them), against `_expm`. Over the chunk, also on the share of the state
+    """Relative error of the eigen path, as the scorer runs it (coordinates,
+    `turn`, back to states), on the states the scorer starts from: the
+    ground vacuum (basis state 0) and that state after one decay time of the
+    fastest mode, each evolved over that decay time and over the scorer's
+    renormalization chunk (100 of them), against `_expm(tau * A)`, which is
+    real as -i*H*tau = A*tau. Over the chunk, also on the share of the state
     each detection channel sees and renormalizes to: the excited atom, and
     the field weighted by sqrt(n) (basis index 2n + s); as g -> 0 the atom's
     share is O(g) and its error grows as 1/g. inf where the eigen form is
     not exactly zero wherever the exponential is, or where no mode decays.
 
     Per-element measures would be the wrong test: basis states high in the
-    Fock ladder, which the scorer never holds, see cond(V) ~ 1e9 in full.
+    Fock ladder, which the scorer never holds, see cond(W) ~ 1e9 in full.
     After one decay time the shares are still growing from zero, and off by
     up to 1e-8 at the headline point (5e-12 over the chunk).
     """
-    w, v = prop.eigvals[0], prop.eigvecs[0]
-    v_inv = prop._own_weight[0][:, None] * prop.basis_inv[0] + (
-        prop._partner_weight[0][:, None] * prop.basis_inv[0][prop.partner[0]]
-    )
-    rate = -2.0 * float(w.imag.min())
+    mu, basis, basis_inv, partner = prop.eigvals[0], prop.basis[0], prop.basis_inv[0], prop.partner[0]
+    rate = -2.0 * float(mu.real.min())
     if not (math.isfinite(rate) and rate > 0.0):
         return math.inf
+    a = h.imag
     taus = (1.0 / rate, 100.0 / rate)
-    exact = [_expm(-1j * tau * h) for tau in taus]
-    probes = np.stack([exact[0][:, 0], np.eye(len(h))[0]])
+    exact = [_expm(tau * a) for tau in taus]
+    probes = np.stack([exact[0][:, 0], np.eye(len(a))[0]])
     probes /= np.linalg.norm(probes, axis=1)[:, None]
-    index = np.arange(len(h))
-    views = np.stack([np.ones(len(h)), index % 2, np.sqrt(index // 2)])  # all, atom, field
+    index = np.arange(len(a))
+    views = np.stack([np.ones(len(a)), index % 2, np.sqrt(index // 2)])  # all, atom, field
     worst = 0.0
     for tau, want, n_views in zip(taus, exact, (1, 3)):
-        if np.any(((v * np.exp(-1j * tau * w)) @ v_inv)[want == 0] != 0):
-            return math.inf
+        zeros = want == 0
+        if np.any(zeros):
+            turns = np.exp(tau * mu)[:, None]
+            turned = basis @ (turns.real * basis_inv + turns.imag * basis_inv[partner])
+            if np.any(turned[zeros] != 0):
+                return math.inf
         for probe in probes:
-            got = prop.evolve(probe[None], tau)[0]
+            got = prop.from_coords(prop.turn(prop.to_coords(probe[None]), tau))[0]
             ref = want @ probe
             err, size = (np.linalg.norm(views[:n_views] * x, axis=1) for x in (got - ref, ref))
             # a share whose norm underflows to 0 passes only without error
@@ -303,7 +412,7 @@ def _eig_error(h: np.ndarray, prop: Propagator) -> float:
 def prepare_propagator(hamiltonian: EffectiveHamiltonian, method: str | None = None) -> Propagator:
     """Diagonalize H for exact interval evolution; a stack of one candidate.
 
-    The eigendecomposition (per connected block of H, in real arithmetic, as
+    The real eigenbasis (per connected block of H, in real arithmetic, as
     H = i*A with A real, which holds for every coupling of this model) is
     used when it evolves the scorer's states to within EIG_TOLERANCE
     (relative) of a Pade exponential at the interval lengths the scorer runs
@@ -321,16 +430,16 @@ def prepare_propagator(hamiltonian: EffectiveHamiltonian, method: str | None = N
     if method not in (None, METHOD_EIG, METHOD_FALLBACK):
         raise InvalidParametersError(f"unknown propagator method: {method!r}")
     dim = len(h)
-    no_eig = (np.empty((0, dim), dtype=complex), np.empty((0, dim, dim), dtype=complex),
+    no_eig = (np.empty((0, dim), dtype=complex), np.empty((0, dim, dim)),
               np.empty((0, dim, dim)), np.empty((0, dim), dtype=int))  # no rows on the eigen path
     if method != METHOD_FALLBACK:
         try:
-            w, v, basis_inv, partner = _block_eig(h)
+            parts = _block_eig(h)
         except np.linalg.LinAlgError:
             error = math.inf
         else:
-            prop = Propagator(np.ones(1, dtype=bool), w[None], v[None], basis_inv[None],
-                              partner[None], np.empty((0, dim, dim), dtype=complex))
+            prop = Propagator(np.ones(1, dtype=bool), *(x[None] for x in parts),
+                              np.empty((0, dim, dim), dtype=complex))
             error = _eig_error(h, prop)
         if error <= EIG_TOLERANCE:
             return prop

@@ -10,7 +10,7 @@ import numpy as np
 
 from .dynamics import simulate_record
 from .errors import InvalidParametersError, QsysidError, StatisticsError
-from .inference import Estimate, GGrid, estimate_time_series
+from .inference import Estimate, GGrid, estimate_time_series, prepare_grid
 from .model import Model, ModelParams
 
 DEFAULT_N_CHECKPOINTS = 20
@@ -84,10 +84,11 @@ def run_ensemble(
     estimates: list[tuple[Estimate, ...] | None] = []
     event_counts: list[int | None] = []
     failures: list[tuple[int, str]] = []
+    prepared = prepare_grid(model, grid)
     for i, seed in enumerate(seeds):
         try:
             record = simulate_record(model, g_true, t0, tf, seed)
-            series = estimate_time_series(model, record, grid, checkpoints, refine=refine)
+            series = estimate_time_series(model, record, prepared, checkpoints, refine=refine)
             estimates.append(tuple(series))
             event_counts.append(record.n_events)
         except QsysidError as exc:

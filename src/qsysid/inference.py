@@ -7,12 +7,16 @@ The constant dt^n measure factor is omitted: it is identical for every g, so
 it cancels in the posterior and in any likelihood comparison.
 
 Scoring walks the record once with the states for all grid candidates
-stacked, renormalizing every chunk (at most `max_step` of no-detection
-evolution) and accumulating the removed log factors, so nothing underflows
-even for event-free windows hundreds of decay times long. That pass is the
-only replay of a record in the package: surfaces, per-jump history,
-checkpoint estimates and the conditional states (`conditional_states`, the
-pass on a stack of one candidate) all come out of it.
+stacked, in each candidate's eigen-coordinates (`dynamics.Propagator`):
+an interval turns them, a detection is one real product, and every chunk
+(at most `max_step` of no-detection evolution) and event is renormalized
+by the coordinates' norm with the removed log factors summed, so nothing
+underflows even for event-free windows hundreds of decay times long. The
+state itself is formed only where a true norm closes the sum. That pass is
+the only replay of a record in the package: surfaces, per-jump history,
+checkpoint estimates and the conditional states (`conditional_states`,
+the pass on a stack of one candidate) all come out of it. A grid prepared
+once (`prepare_grid`) scores any number of records.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dynamics import ClassicalRecord, Propagator, max_total_decay_rate, prepare_propagator
+from .dynamics import ClassicalRecord, Detector, Propagator, max_total_decay_rate, prepare_propagator
 from .errors import InvalidParametersError, NoEstimateError, NumericError
 from .model import Model, ModelParams, effective_hamiltonian, ground_vacuum
 
@@ -119,19 +123,85 @@ def posterior(loglik: np.ndarray) -> np.ndarray:
 
 
 def _row_norms_sq(states: np.ndarray) -> np.ndarray:
+    if not np.iscomplexobj(states):
+        return np.einsum("gd,gd->g", states, states)
     return np.einsum("gd,gd->g", states.conj(), states).real
 
 
+@dataclass(frozen=True, eq=False)
+class PreparedGrid:
+    """Coupling candidates made ready to score records under one model: the
+    stacked no-detection propagator of the candidates and, per detection
+    channel, the collapse operator as that propagator applies it. Passed
+    where a grid is asked for, it scores any number of records with one
+    preparation, as `ensemble.run_ensemble` does."""
+
+    model: Model
+    grid: GGrid | None  # None for a single coupling
+    propagator: Propagator
+    detectors: tuple
+
+
+def _prepare(model: Model, values, grid: GGrid | None = None) -> PreparedGrid:
+    prop = Propagator.stack(
+        [prepare_propagator(effective_hamiltonian(model, float(g))) for g in values]
+    )
+    # built after the per-candidate list above is freed: the collapses in
+    # the eigenbasis take as much memory again as the basis and its inverse
+    detectors = tuple(Detector(prop, c) for c in (model.c0, model.c1))
+    return PreparedGrid(model, grid, prop, detectors)
+
+
+def prepare_grid(model: Model, grid: GGrid) -> PreparedGrid:
+    """Prepare every candidate of a grid for scoring under model."""
+    return _prepare(model, grid.values, grid)
+
+
+def _prepared(model: Model, grid: GGrid | PreparedGrid) -> PreparedGrid:
+    if not isinstance(grid, PreparedGrid):
+        return prepare_grid(model, grid)
+    if grid.model.params != model.params:
+        raise InvalidParametersError("the grid was prepared for another model")
+    return grid
+
+
+def _renormalize(coords: np.ndarray, loglik: np.ndarray, alive: np.ndarray, n2: np.ndarray) -> None:
+    """Divide the live rows by their norms, in place, and add the logs."""
+    if alive.all():
+        loglik += np.log(n2)
+        coords /= np.sqrt(n2)[:, None]
+    else:
+        loglik[alive] += np.log(n2[alive])
+        coords[alive] /= np.sqrt(n2[alive])[:, None]
+
+
 def _score_record(
-    model: Model,
+    prepared: PreparedGrid,
     record: ClassicalRecord,
-    g_values: np.ndarray,
     *,
     want_history: bool = False,
     checkpoints: np.ndarray | None = None,
     max_step: float | None = None,
 ):
-    """One streaming pass over the record for every candidate g.
+    """One streaming pass over the record for every prepared candidate.
+
+    The pass holds each candidate's state in its propagator's coordinates
+    (`Propagator.to_coords`: y = W^-1 psi on the eigen path, psi on the
+    fallback), turns them through each no-detection interval and applies
+    each detection as one product (`Detector.on_coords`), dividing by the
+    coordinates' norm after every chunk and event and summing the logs. A
+    state is formed (psi = W y) only where a true norm is needed, at
+    checkpoints, history rows and the end: the log-likelihood there is the
+    summed logs plus log ||psi||^2, which closes the telescoped sum.
+
+    A detection within 1/(largest total decay rate) of the one before goes
+    through psi instead: the states just after that one, formed from its
+    exact collapse, are stepped by the change (`Propagator.step`) and
+    collapsed as the index shift they are, so a share that only this short
+    interval feeds (the atom re-excited right after an atomic detection)
+    is scored relative to itself. Whether an event goes through psi depends
+    on the record up to it alone, so a checkpoint runs the arithmetic of
+    scoring the record cut there.
 
     Returns (loglik, history, checkpoint_rows) where checkpoint_rows is a
     list of (time, events_included, states, loglik_vector), states being
@@ -139,8 +209,10 @@ def _score_record(
     (n_events, n_g) array or None.
     """
     record.validate()
+    model = prepared.model
+    decay = max_total_decay_rate(model)
     if max_step is None:
-        max_step = _RENORM_LOG_BUDGET / max_total_decay_rate(model)
+        max_step = _RENORM_LOG_BUDGET / decay
     elif not (math.isfinite(max_step) and max_step > 0):
         raise InvalidParametersError(f"max_step must be > 0, got {max_step}")
     if checkpoints is not None:
@@ -154,25 +226,27 @@ def _score_record(
             raise InvalidParametersError(
                 "checkpoints must be finite, ascending and within the record window"
             )
-    prop = Propagator.stack(
-        [prepare_propagator(effective_hamiltonian(model, float(g))) for g in g_values]
-    )
-    n_g = len(g_values)
-    states = np.tile(ground_vacuum(model), (n_g, 1))
+    prop = prepared.propagator
+    n_g = len(prop.eig)
+    start = np.tile(ground_vacuum(model).real, (n_g, 1))
+    coords = prop.to_coords(start)
     loglik = np.zeros(n_g, dtype=float)
     alive = np.ones(n_g, dtype=bool)
 
+    def after_last_event() -> np.ndarray:
+        """The normalized states after the last event, exact in structure."""
+        return start
+
     def advance(tau: float) -> tuple[np.ndarray, np.ndarray]:
-        """(states, loglik) after no-detection evolution over tau, renormalized
-        per chunk; works on copies, so a checkpoint runs a commit's arithmetic."""
-        new_states, new_loglik = states, loglik.copy()
-        if tau <= 0.0:
-            return new_states, new_loglik
+        """(coords, loglik) after no-detection evolution over tau > 0,
+        renormalized per chunk; works on copies, so a checkpoint runs a
+        commit's arithmetic."""
+        new_coords, new_loglik = coords, loglik.copy()
         n_sub = max(1, math.ceil(tau / max_step))
         sub = tau / n_sub
         for _ in range(n_sub):
-            new_states = prop.evolve(new_states, sub)
-            n2 = _row_norms_sq(new_states)
+            new_coords = prop.turn(new_coords, sub)
+            n2 = _row_norms_sq(new_coords)
             if not np.all(np.isfinite(n2[alive])):
                 raise NumericError("no-detection evolution produced non-finite norms")
             if np.any(n2[alive] <= 0.0):
@@ -180,9 +254,32 @@ def _score_record(
                     "no-detection norm underflowed; reduce max_step so each "
                     "chunk stays within the floating-point range"
                 )
-            new_loglik[alive] += np.log(n2[alive])
-            new_states[alive] /= np.sqrt(n2[alive])[:, None]
-        return new_states, new_loglik
+            _renormalize(new_coords, new_loglik, alive, n2)
+        return new_coords, new_loglik
+
+    def cut(tau: float) -> tuple[np.ndarray, np.ndarray]:
+        """(normalized states, loglik) of the record cut tau after the last event."""
+        if tau > 0.0:
+            cut_coords, cut_loglik = advance(tau)
+            states = prop.from_coords(cut_coords)
+        else:
+            states, cut_loglik = after_last_event().copy(), loglik.copy()
+        _renormalize(states, cut_loglik, alive, _row_norms_sq(states))
+        return states, cut_loglik
+
+    def detected(rows: np.ndarray, k: int) -> np.ndarray:
+        """The squared norms of rows just collapsed; rows that the event
+        cannot happen to are marked dead, the others renormalized."""
+        n2 = _row_norms_sq(rows)
+        if not np.all(np.isfinite(n2[alive])):
+            raise NumericError(f"jump application produced non-finite norms (event {k})")
+        dying = alive & (n2 <= 0.0)
+        if dying.any():
+            loglik[dying] = -np.inf
+            rows[dying] = 0.0
+            alive[dying] = False
+        _renormalize(rows, loglik, alive, n2)
+        return n2
 
     history_rows: list[np.ndarray] = [] if want_history else None
     checkpoint_rows: list[tuple[float, int, np.ndarray, np.ndarray]] = []
@@ -192,28 +289,34 @@ def _score_record(
         t_k = float(record.times[k])
         while checkpoints is not None and cp_i < checkpoints.size and checkpoints[cp_i] < t_k:
             t_cp = float(checkpoints[cp_i])
-            checkpoint_rows.append((t_cp, k, *advance(t_cp - t_prev)))
+            checkpoint_rows.append((t_cp, k, *cut(t_cp - t_prev)))
             cp_i += 1
-        states, loglik = advance(t_k - t_prev)
-        collapse = model.c0 if record.channels[k] == 0 else model.c1
-        states = states @ collapse.T
-        n2 = _row_norms_sq(states)
-        if not np.all(np.isfinite(n2[alive])):
-            raise NumericError(f"jump application produced non-finite norms (event {k})")
-        dying = alive & (n2 <= 0.0)
-        loglik[dying] = -np.inf
-        states[dying] = 0.0
-        alive &= ~dying
-        loglik[alive] += np.log(n2[alive])
-        states[alive] /= np.sqrt(n2[alive])[:, None]
+        detector = prepared.detectors[record.channels[k]]
+        if (t_k - t_prev) * decay <= 1.0:
+            states = detector.on_states(prop.step(after_last_event(), coords, t_k - t_prev))
+            detected(states, k)
+            coords = prop.to_coords(states)
+
+            def after_last_event(states=states):
+                return states
+        else:
+            before, loglik = advance(t_k - t_prev)
+            coords = detector.on_coords(before)
+            n2 = detected(coords, k)
+
+            def after_last_event(before=before, detector=detector, n2=n2):
+                states = detector.on_states(prop.from_coords(before))
+                states[alive] /= np.sqrt(n2[alive])[:, None]
+                states[~alive] = 0.0
+                return states
         if want_history:
-            history_rows.append(loglik.copy())
+            history_rows.append(cut(0.0)[1])
         t_prev = t_k
     while checkpoints is not None and cp_i < checkpoints.size:
         t_cp = float(checkpoints[cp_i])
-        checkpoint_rows.append((t_cp, record.n_events, *advance(t_cp - t_prev)))
+        checkpoint_rows.append((t_cp, record.n_events, *cut(t_cp - t_prev)))
         cp_i += 1
-    states, loglik = advance(record.tf - t_prev)
+    _, loglik = cut(record.tf - t_prev)
     history = np.array(history_rows) if want_history and history_rows else None
     if want_history and not history_rows:
         history = np.zeros((0, n_g), dtype=float)
@@ -232,24 +335,25 @@ def log_likelihood(
     Returns -inf when some recorded event has exactly zero amplitude under
     this g (the candidate is excluded, not an error).
     """
-    loglik, _, _ = _score_record(model, record, np.asarray([g], dtype=float), max_step=max_step)
+    loglik, _, _ = _score_record(_prepare(model, [g]), record, max_step=max_step)
     return float(loglik[0])
 
 
 def likelihood_surface(
     model: Model,
     record: ClassicalRecord,
-    grid: GGrid,
+    grid: GGrid | PreparedGrid,
     *,
     with_history: bool = False,
     max_step: float | None = None,
 ) -> LikelihoodSurface:
     """Score one record against every grid candidate in a single pass."""
+    prepared = _prepared(model, grid)
     loglik, history, _ = _score_record(
-        model, record, grid.values, want_history=with_history, max_step=max_step
+        prepared, record, want_history=with_history, max_step=max_step
     )
     return LikelihoodSurface(
-        grid=grid,
+        grid=prepared.grid,
         loglik=loglik,
         history=history,
         record_ref=record.digest(),
@@ -301,7 +405,7 @@ def posterior_and_mle(surface: LikelihoodSurface, refine: bool = True) -> Estima
 def estimate_time_series(
     model: Model,
     record: ClassicalRecord,
-    grid: GGrid,
+    grid: GGrid | PreparedGrid,
     checkpoints,
     *,
     refine: bool = True,
@@ -312,12 +416,12 @@ def estimate_time_series(
     A checkpoint at T scores events with t <= T plus the no-detection
     segment reaching T; everything is computed in one streaming pass.
     """
+    prepared = _prepared(model, grid)
     _, _, rows = _score_record(
-        model, record, grid.values,
-        checkpoints=np.asarray(checkpoints, dtype=float), max_step=max_step,
+        prepared, record, checkpoints=np.asarray(checkpoints, dtype=float), max_step=max_step,
     )
     return [
-        _estimate_from_loglik(grid, vec, refine, jump_index=k, time=t)
+        _estimate_from_loglik(prepared.grid, vec, refine, jump_index=k, time=t)
         for (t, k, _, vec) in rows
     ]
 
@@ -331,7 +435,7 @@ def conditional_states(model: Model, g: float, record: ClassicalRecord, times) -
     event's collapse. `times` must be ascending and inside [t0, tf].
     """
     _, _, rows = _score_record(
-        model, record, np.asarray([g], dtype=float), checkpoints=np.asarray(times, dtype=float)
+        _prepare(model, [g]), record, checkpoints=np.asarray(times, dtype=float)
     )
     for t, k, _, loglik in rows:
         if loglik[0] == -np.inf:
@@ -339,4 +443,4 @@ def conditional_states(model: Model, g: float, record: ClassicalRecord, times) -
                 f"one of the first {k} record events has zero weight under g={g}; "
                 f"the state at t={t} cannot be reconstructed"
             )
-    return [states[0] for (_, _, states, _) in rows]
+    return [states[0].astype(complex) for (_, _, states, _) in rows]

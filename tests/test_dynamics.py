@@ -471,6 +471,24 @@ def test_conditional_states_match_dense_replay_at_operating_dimension(cavity_mod
                 assert np.abs(state - psi).max() <= 1e-10, (method, g, t_query)
 
 
+def test_checkpoint_states_match_fallback_path_on_headline_record(cavity_model):
+    # the eigen rows hold coordinates between events, and events that follow
+    # the one before within 1/(total decay rate) go through psi; queries at
+    # event times, between events and after a gap of several chunks
+    record = simulate_record(cavity_model, 45.0, 0.0, 0.1, seed=5)
+    decay = max_total_decay_rate(cavity_model)
+    gaps = np.diff(record.times, prepend=0.0)
+    assert np.any(gaps * decay <= 1.0) and np.any(gaps * decay > 1.0)
+    queries = np.concatenate([record.times[::5], record.times[:-1:7] + 0.4 * gaps[1::7], [0.1]])
+    queries.sort()
+    for g in (12.0, 45.0):
+        states = {}
+        for method in (METHOD_EIG, METHOD_FALLBACK):
+            with forced_path(method):
+                states[method] = np.array(conditional_states(cavity_model, g, record, queries))
+        assert np.abs(states[METHOD_EIG] - states[METHOD_FALLBACK]).max() <= 1e-9, g
+
+
 def test_conditional_states_include_event_at_query_time(small_model):
     record = ClassicalRecord(t0=0.0, tf=1.0, times=np.array([0.5]), channels=np.array([1]))
     h = effective_hamiltonian(small_model, 0.0).matrix

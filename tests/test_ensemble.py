@@ -3,6 +3,8 @@ import hashlib
 import numpy as np
 import pytest
 
+import qsysid.dynamics
+import qsysid.inference
 from qsysid import (
     GGrid,
     InvalidParametersError,
@@ -11,7 +13,9 @@ from qsysid import (
     build_model,
     count_statistics,
     default_checkpoints,
+    estimate_time_series,
     run_ensemble,
+    simulate_record,
     summarize,
     trajectory_seed,
 )
@@ -70,6 +74,23 @@ def test_run_ensemble_is_deterministic(tiny_ensemble):
     for a, b in zip(again.estimates, tiny_ensemble.estimates):
         for ea, eb in zip(a, b):
             assert ea == eb
+
+
+def test_run_ensemble_prepares_the_grid_once(monkeypatch):
+    # 5 grid candidates once, then one coupling per simulated trajectory;
+    # each trajectory's estimates are those of scoring its record alone
+    model = build_model(ModelParams(g0=6.0, gamma_perp=0.8, kappa=1.5, epsilon=2.0, n_trunc=6))
+    grid = GGrid(1.0, 5.0, 1.0)
+    calls = []
+    for module in (qsysid.dynamics, qsysid.inference):
+        original = module.prepare_propagator
+        monkeypatch.setattr(module, "prepare_propagator", lambda h, f=original: calls.append(h.g) or f(h))
+    result = run_ensemble(model, 3.0, grid, n_traj=3, t0=0.0, tf=1.0, checkpoints=(0.5, 1.0), master_seed=7)
+    assert len(calls) == grid.n + 3
+    monkeypatch.undo()
+    for seed, estimates in zip(result.seeds, result.estimates):
+        record = simulate_record(model, 3.0, 0.0, 1.0, seed)
+        assert tuple(estimate_time_series(model, record, grid, (0.5, 1.0))) == estimates
 
 
 def test_run_ensemble_rejects_bad_trajectory_count(tiny_ensemble):

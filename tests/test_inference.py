@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -24,7 +26,7 @@ from qsysid import (
 )
 
 from conftest import forced_path
-from oracles import direct_log_density, random_toy_instance
+from oracles import chunked_log_density, direct_log_density, random_toy_instance
 
 
 def surface_with(loglik, grid=None):
@@ -167,7 +169,29 @@ def test_decoupled_candidate_cannot_explain_an_atomic_detection(n_trunc):
     record = simulate_record(model, 45.0, 0.0, 0.3, seed=3)
     assert np.count_nonzero(record.channels == 0) == 1
     assert prepare_propagator(effective_hamiltonian(model, 0.0)).method == METHOD_EIG
-    assert log_likelihood(model, record, 0.0) == -np.inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no log(0) or 0/0 on the way to -inf
+        assert log_likelihood(model, record, 0.0) == -np.inf
+
+
+def test_default_grid_matches_chunked_oracle_at_largest_truncation():
+    # n_trunc 40 (dim 82), where cond(W) is largest, on every 10th candidate
+    # of the default grid, all on the eigen path
+    params = ModelParams(g0=57.0, gamma_perp=2.5, kappa=30.0, epsilon=44.3, n_trunc=40)
+    model = build_model(params)
+    record = simulate_record(model, 45.0, 0.0, 0.25, seed=4)
+    assert record.n_events > 100 and np.any(record.channels == 0)
+    grid = default_grid(params)
+    candidates = grid.values[::10]
+    surface = likelihood_surface(model, record, grid).loglik[::10]
+    for g, got in zip(candidates, surface):
+        h = effective_hamiltonian(model, float(g))
+        assert prepare_propagator(h).method == METHOD_EIG
+        want = chunked_log_density(model, record, float(g))
+        if want == -np.inf:
+            assert got == -np.inf
+        else:
+            assert got == pytest.approx(want, rel=1e-9, abs=1e-9), g
 
 
 def test_surface_matches_scalar_likelihood(small_model):
