@@ -21,6 +21,7 @@ from qsysid import (
     likelihood_surface,
     log_likelihood,
     posterior_and_mle,
+    prepare_grid,
     prepare_propagator,
     simulate_record,
 )
@@ -181,10 +182,9 @@ def test_default_grid_matches_chunked_oracle_at_largest_truncation():
     model = build_model(params)
     record = simulate_record(model, 45.0, 0.0, 0.25, seed=4)
     assert record.n_events > 100 and np.any(record.channels == 0)
-    grid = default_grid(params)
-    candidates = grid.values[::10]
-    surface = likelihood_surface(model, record, grid).loglik[::10]
-    for g, got in zip(candidates, surface):
+    grid = GGrid(0.0, 55.0, 5.0)
+    np.testing.assert_array_equal(grid.values, default_grid(params).values[::10])
+    for g, got in zip(grid.values, likelihood_surface(model, record, grid).loglik):
         h = effective_hamiltonian(model, float(g))
         assert prepare_propagator(h).method == METHOD_EIG
         want = chunked_log_density(model, record, float(g))
@@ -192,6 +192,17 @@ def test_default_grid_matches_chunked_oracle_at_largest_truncation():
             assert got == -np.inf
         else:
             assert got == pytest.approx(want, rel=1e-9, abs=1e-9), g
+
+
+def test_prepared_grid_scores_like_the_grid_and_keeps_its_model(small_model, flux_model):
+    record = simulate_record(small_model, 3.0, 0.0, 1.0, seed=21)
+    grid = GGrid(1.0, 5.0, 1.0)
+    prepared = prepare_grid(small_model, grid)
+    surface = likelihood_surface(small_model, record, prepared)
+    assert surface.grid is grid
+    np.testing.assert_array_equal(surface.loglik, likelihood_surface(small_model, record, grid).loglik)
+    with pytest.raises(InvalidParametersError):
+        likelihood_surface(flux_model, record, prepared)
 
 
 def test_surface_matches_scalar_likelihood(small_model):
