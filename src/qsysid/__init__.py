@@ -37,7 +37,6 @@ from .inference import (
     Estimate,
     GGrid,
     LikelihoodSurface,
-    PreparedGrid,
     conditional_states,
     default_grid,
     estimate_time_series,
@@ -45,7 +44,6 @@ from .inference import (
     log_likelihood,
     posterior,
     posterior_and_mle,
-    prepare_grid,
 )
 from .io import (
     CONFIG_SCHEMA,

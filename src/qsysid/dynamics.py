@@ -90,8 +90,9 @@ class Propagator:
 
     The scorer in `inference` holds its states in the form `to_coords`
     gives (y on eigen rows, psi on the others) and moves them with `turn`,
-    `step` and `Detector`; `evolve` maps states to states, and
-    `to_coeffs`/`from_coeffs` serve the simulator's survival search.
+    `step` and `Detector`; `evolve` composes the first three to map states
+    to states, and `to_coeffs`/`from_coeffs` serve the simulator's survival
+    search.
     """
 
     def __init__(self, eig, eigvals, basis, basis_inv, partner, h):
@@ -102,7 +103,6 @@ class Propagator:
         self.partner = partner
         self.h = h
         self._n_eig = int(np.count_nonzero(eig))
-        self._fastest = np.abs(eigvals).max(axis=1, initial=0.0)
         n, dim = partner.shape
         rows = dim * np.arange(n)[:, None]
         self._partner_flat = (partner + rows).ravel()
@@ -162,17 +162,6 @@ class Propagator:
         of per-column turn factors, as an interval turns them."""
         return real * coords + imag * self._partners(coords)
 
-    def _eig_evolve(self, states, coords, taus, short) -> np.ndarray:
-        """Eigen rows over one interval. A `short` row forms the change,
-        psi + W (e^{mu tau} - 1) y turned, so a component psi lacks (an
-        excited atom just after an atomic detection) comes out accurate
-        relative to itself, not to psi."""
-        turns = taus * self.eigvals
-        turns = np.where(short[:, None], np.expm1(turns), np.exp(turns))
-        out = _real_matvec(self.basis, self._turned(coords, turns.real, turns.imag))
-        out[short] += states[short]
-        return out
-
     def to_coords(self, states: np.ndarray) -> np.ndarray:
         """The scorer's form of an (n, dim) state stack: the refined
         coordinates y = W^-1 psi on eigen rows, the states on the others."""
@@ -194,28 +183,27 @@ class Propagator:
 
     def step(self, states: np.ndarray, coords: np.ndarray, tau: float) -> np.ndarray:
         """The states after an interval tau from `states`, whose `to_coords`
-        form is `coords`, by the change on every eigen row. Exact in its
-        small shares where `states` is; meant for intervals too short for
-        any share to decay far, where the change is no larger than psi."""
+        form is `coords`, on eigen rows by the change, psi + W (e^{mu tau} -
+        1) y turned: a share that psi lacks (an excited atom just after an
+        atomic detection) comes out accurate relative to itself, not to psi.
+        Meant for intervals too short for any share to decay far, where the
+        change is no larger than psi."""
         taus = np.asarray(tau, dtype=float)
-        return self._by_path(
-            lambda s, y: self._eig_evolve(s, y, taus, np.ones(len(s), dtype=bool)),
-            lambda s, y: self._expm_evolve(s, taus)[:, 0], states, coords,
-        )
+
+        def on_eig(s, y):
+            turns = np.expm1(taus * self.eigvals)
+            return s + _real_matvec(self.basis, self._turned(y, turns.real, turns.imag))
+
+        return self._by_path(on_eig, lambda s, y: self._expm_evolve(s, taus)[:, 0], states, coords)
 
     def evolve(self, states: np.ndarray, tau: float) -> np.ndarray:
-        """Evolve an (n, dim) state stack through a no-detection interval;
-        an eigen row within one turn of its fastest mode (|mu| * tau <= 1)
-        by the change."""
+        """Evolve an (n, dim) state stack through a no-detection interval,
+        as the scorer does over a chunk: `to_coords`, `turn`, `from_coords`."""
         if not 0.0 <= tau < math.inf:
             raise InvalidParametersError(f"interval must be finite and >= 0, got {tau}")
         if tau == 0.0:
             return states.copy()
-        taus = np.asarray(tau, dtype=float)
-        return self._by_path(
-            lambda s: self._eig_evolve(s, self._coords(s), taus, taus * self._fastest <= 1.0),
-            lambda s: self._expm_evolve(s, taus)[:, 0], states,
-        )
+        return self.from_coords(self.turn(self.to_coords(states), tau))
 
     def to_coeffs(self, states: np.ndarray) -> np.ndarray:
         """What `from_coeffs` evolves, for a stack whose candidates take one

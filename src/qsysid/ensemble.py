@@ -10,7 +10,7 @@ import numpy as np
 
 from .dynamics import simulate_record
 from .errors import InvalidParametersError, QsysidError, StatisticsError
-from .inference import Estimate, GGrid, estimate_time_series, prepare_grid
+from .inference import Estimate, GGrid, _prepare_grid, estimate_time_series
 from .model import Model, ModelParams
 
 DEFAULT_N_CHECKPOINTS = 20
@@ -84,7 +84,7 @@ def run_ensemble(
     estimates: list[tuple[Estimate, ...] | None] = []
     event_counts: list[int | None] = []
     failures: list[tuple[int, str]] = []
-    prepared = prepare_grid(model, grid)
+    prepared = _prepare_grid(model, grid)  # once for every trajectory
     for i, seed in enumerate(seeds):
         try:
             record = simulate_record(model, g_true, t0, tf, seed)

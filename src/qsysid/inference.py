@@ -15,8 +15,8 @@ underflows even for event-free windows hundreds of decay times long. The
 state itself is formed only where a true norm closes the sum. That pass is
 the only replay of a record in the package: surfaces, per-jump history,
 checkpoint estimates and the conditional states (`conditional_states`,
-the pass on a stack of one candidate) all come out of it. A grid prepared
-once (`prepare_grid`) scores any number of records.
+the pass on a stack of one candidate) all come out of it. An ensemble
+prepares its grid once for all its records.
 """
 
 from __future__ import annotations
@@ -128,41 +128,31 @@ def _row_norms_sq(states: np.ndarray) -> np.ndarray:
     return np.einsum("gd,gd->g", states.conj(), states).real
 
 
-@dataclass(frozen=True, eq=False)
-class PreparedGrid:
-    """Coupling candidates made ready to score records under one model: the
-    stacked no-detection propagator of the candidates and, per detection
-    channel, the collapse operator as that propagator applies it. Passed
-    where a grid is asked for, it scores any number of records with one
-    preparation, as `ensemble.run_ensemble` does."""
-
-    model: Model
-    grid: GGrid | None  # None for a single coupling
-    propagator: Propagator
-    detectors: tuple
-
-
-def _prepare(model: Model, values, grid: GGrid | None = None) -> PreparedGrid:
+def _prepare(model: Model, values) -> tuple[Propagator, tuple[Detector, Detector]]:
+    """The stacked no-detection propagator of the couplings in values and,
+    per detection channel, the collapse operator as that propagator applies
+    it."""
     prop = Propagator.stack(
         [prepare_propagator(effective_hamiltonian(model, float(g))) for g in values]
     )
     # built after the per-candidate list above is freed: the collapses in
     # the eigenbasis take as much memory again as the basis and its inverse
-    detectors = tuple(Detector(prop, c) for c in (model.c0, model.c1))
-    return PreparedGrid(model, grid, prop, detectors)
+    return prop, (Detector(prop, model.c0), Detector(prop, model.c1))
 
 
-def prepare_grid(model: Model, grid: GGrid) -> PreparedGrid:
-    """Prepare every candidate of a grid for scoring under model."""
-    return _prepare(model, grid.values, grid)
+@dataclass(frozen=True, eq=False)
+class _PreparedGrid:
+    """A grid with its candidates prepared (`_prepare`) under one model.
+    `run_ensemble` passes one to `estimate_time_series` in place of the
+    grid, so that all its records are scored with one preparation."""
+
+    grid: GGrid
+    propagator: Propagator
+    detectors: tuple[Detector, Detector]
 
 
-def _prepared(model: Model, grid: GGrid | PreparedGrid) -> PreparedGrid:
-    if not isinstance(grid, PreparedGrid):
-        return prepare_grid(model, grid)
-    if grid.model.params != model.params:
-        raise InvalidParametersError("the grid was prepared for another model")
-    return grid
+def _prepare_grid(model: Model, grid: GGrid) -> _PreparedGrid:
+    return _PreparedGrid(grid, *_prepare(model, grid.values))
 
 
 def _renormalize(coords: np.ndarray, loglik: np.ndarray, alive: np.ndarray, n2: np.ndarray) -> None:
@@ -176,14 +166,17 @@ def _renormalize(coords: np.ndarray, loglik: np.ndarray, alive: np.ndarray, n2: 
 
 
 def _score_record(
-    prepared: PreparedGrid,
+    model: Model,
+    prop: Propagator,
+    detectors: tuple[Detector, Detector],
     record: ClassicalRecord,
     *,
     want_history: bool = False,
     checkpoints: np.ndarray | None = None,
     max_step: float | None = None,
 ):
-    """One streaming pass over the record for every prepared candidate.
+    """One streaming pass over the record for every candidate of a
+    `_prepare` stack.
 
     The pass holds each candidate's state in its propagator's coordinates
     (`Propagator.to_coords`: y = W^-1 psi on the eigen path, psi on the
@@ -209,7 +202,6 @@ def _score_record(
     (n_events, n_g) array or None.
     """
     record.validate()
-    model = prepared.model
     decay = max_total_decay_rate(model)
     if max_step is None:
         max_step = _RENORM_LOG_BUDGET / decay
@@ -226,7 +218,6 @@ def _score_record(
             raise InvalidParametersError(
                 "checkpoints must be finite, ascending and within the record window"
             )
-    prop = prepared.propagator
     n_g = len(prop.eig)
     start = np.tile(ground_vacuum(model).real, (n_g, 1))
     coords = prop.to_coords(start)
@@ -291,7 +282,7 @@ def _score_record(
             t_cp = float(checkpoints[cp_i])
             checkpoint_rows.append((t_cp, k, *cut(t_cp - t_prev)))
             cp_i += 1
-        detector = prepared.detectors[record.channels[k]]
+        detector = detectors[record.channels[k]]
         if (t_k - t_prev) * decay <= 1.0:
             states = detector.on_states(prop.step(after_last_event(), coords, t_k - t_prev))
             detected(states, k)
@@ -335,25 +326,24 @@ def log_likelihood(
     Returns -inf when some recorded event has exactly zero amplitude under
     this g (the candidate is excluded, not an error).
     """
-    loglik, _, _ = _score_record(_prepare(model, [g]), record, max_step=max_step)
+    loglik, _, _ = _score_record(model, *_prepare(model, [g]), record, max_step=max_step)
     return float(loglik[0])
 
 
 def likelihood_surface(
     model: Model,
     record: ClassicalRecord,
-    grid: GGrid | PreparedGrid,
+    grid: GGrid,
     *,
     with_history: bool = False,
     max_step: float | None = None,
 ) -> LikelihoodSurface:
     """Score one record against every grid candidate in a single pass."""
-    prepared = _prepared(model, grid)
     loglik, history, _ = _score_record(
-        prepared, record, want_history=with_history, max_step=max_step
+        model, *_prepare(model, grid.values), record, want_history=with_history, max_step=max_step
     )
     return LikelihoodSurface(
-        grid=prepared.grid,
+        grid=grid,
         loglik=loglik,
         history=history,
         record_ref=record.digest(),
@@ -405,7 +395,7 @@ def posterior_and_mle(surface: LikelihoodSurface, refine: bool = True) -> Estima
 def estimate_time_series(
     model: Model,
     record: ClassicalRecord,
-    grid: GGrid | PreparedGrid,
+    grid: GGrid,
     checkpoints,
     *,
     refine: bool = True,
@@ -415,10 +405,12 @@ def estimate_time_series(
 
     A checkpoint at T scores events with t <= T plus the no-detection
     segment reaching T; everything is computed in one streaming pass.
+    `grid` may also be a `_PreparedGrid` made under model.
     """
-    prepared = _prepared(model, grid)
+    prepared = grid if isinstance(grid, _PreparedGrid) else _prepare_grid(model, grid)
     _, _, rows = _score_record(
-        prepared, record, checkpoints=np.asarray(checkpoints, dtype=float), max_step=max_step,
+        model, prepared.propagator, prepared.detectors, record,
+        checkpoints=np.asarray(checkpoints, dtype=float), max_step=max_step,
     )
     return [
         _estimate_from_loglik(prepared.grid, vec, refine, jump_index=k, time=t)
@@ -435,7 +427,7 @@ def conditional_states(model: Model, g: float, record: ClassicalRecord, times) -
     event's collapse. `times` must be ascending and inside [t0, tf].
     """
     _, _, rows = _score_record(
-        _prepare(model, [g]), record, checkpoints=np.asarray(times, dtype=float)
+        model, *_prepare(model, [g]), record, checkpoints=np.asarray(times, dtype=float)
     )
     for t, k, _, loglik in rows:
         if loglik[0] == -np.inf:

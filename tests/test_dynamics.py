@@ -191,6 +191,28 @@ def test_eigen_and_fallback_agree_at_operating_scale(cavity_model, rng):
         assert np.abs(eig.evolve(psi[None], tau) - fb.evolve(psi[None], tau)).max() <= 1e-10
 
 
+@pytest.mark.parametrize("g", [5.0, 45.0])
+@pytest.mark.parametrize("fraction", [1e-3, 0.1])
+def test_step_keeps_the_share_a_detection_emptied(cavity_model, g, fraction):
+    # just after an atomic detection the atom is in its ground state; over
+    # an interval short beside every decay the coupling re-excites it from
+    # zero, and `step` keeps that share accurate relative to itself (a
+    # coordinate `turn` is off by up to 2e-10 on it at 1e-3 of a decay time)
+    h = effective_hamiltonian(cavity_model, g)
+    prop = prepare_propagator(h)
+    assert prop.method == METHOD_EIG
+    start = cavity_model.c0 @ expm(-0.01j * h.matrix) @ ground_vacuum(cavity_model)
+    start = (start / np.linalg.norm(start))[None]
+    tau = fraction / max_total_decay_rate(cavity_model)
+    want = expm(-1j * tau * h.matrix) @ start[0]
+    got = prop.step(start, prop.to_coords(start), tau)[0]
+    atom = np.arange(cavity_model.dim) % 2 == 1
+    assert np.linalg.norm((got - want)[atom]) <= 1e-11 * np.linalg.norm(want[atom])
+    assert np.abs(got - want).max() <= 1e-12
+    fallback = prepare_propagator(h, METHOD_FALLBACK)
+    np.testing.assert_array_equal(fallback.step(start, start, tau), fallback.evolve(start, tau))
+
+
 def test_evolve_matches_dense_expm(small_model, rng):
     h = effective_hamiltonian(small_model, 2.2)
     prop = prepare_propagator(h)

@@ -21,7 +21,6 @@ from qsysid import (
     likelihood_surface,
     log_likelihood,
     posterior_and_mle,
-    prepare_grid,
     prepare_propagator,
     simulate_record,
 )
@@ -192,17 +191,6 @@ def test_default_grid_matches_chunked_oracle_at_largest_truncation():
             assert got == -np.inf
         else:
             assert got == pytest.approx(want, rel=1e-9, abs=1e-9), g
-
-
-def test_prepared_grid_scores_like_the_grid_and_keeps_its_model(small_model, flux_model):
-    record = simulate_record(small_model, 3.0, 0.0, 1.0, seed=21)
-    grid = GGrid(1.0, 5.0, 1.0)
-    prepared = prepare_grid(small_model, grid)
-    surface = likelihood_surface(small_model, record, prepared)
-    assert surface.grid is grid
-    np.testing.assert_array_equal(surface.loglik, likelihood_surface(small_model, record, grid).loglik)
-    with pytest.raises(InvalidParametersError):
-        likelihood_surface(flux_model, record, prepared)
 
 
 def test_surface_matches_scalar_likelihood(small_model):
