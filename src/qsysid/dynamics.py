@@ -15,10 +15,13 @@ their residual, so the error on such states stays near rounding level
 although cond(W) reaches 1e9. `Detector` applies a collapse operator in
 the same coordinates, as one real product with W^-1 C W refined once.
 
-The simulator runs a propagator on a stack of one, the scorer in
-`inference` on the whole grid. Jump times are located by inverting the
-squared-norm survival curve with a bracketing pass plus bisection, so
-records carry no time-step discretization error beyond the bisection width.
+The simulator and the scorer in `inference` run the same arithmetic, the
+simulator on a stack of one, the scorer on the whole grid: states held in
+coordinates (`to_coords`), turned through each interval (`turn`), and
+collapsed by `Detector`. The simulator locates jump times by inverting the
+squared-norm survival curve of `from_coords(turn(...))` with a bracketing
+pass, many interval lengths per `turn`, plus bisection, so records carry no
+time-step discretization error beyond the bisection width.
 """
 
 from __future__ import annotations
@@ -51,15 +54,19 @@ CHANNEL_CAVITY = 1
 
 
 def _matvec(matrices: np.ndarray, vectors: np.ndarray) -> np.ndarray:
-    """Row-wise matrix-vector products of an (n, d, d) and an (n, d) stack."""
+    """Row-wise matrix-vector products of an (..., d, d) and an (..., d)
+    stack, or of an (n, d, d) and an (n, k, d) stack, whose k vectors per
+    row share that row's matrix."""
+    if vectors.ndim == matrices.ndim:
+        return np.matmul(vectors, matrices.swapaxes(1, 2))
     return np.matmul(matrices, vectors[..., None])[..., 0]
 
 
 def _real_matvec(matrices: np.ndarray, vectors: np.ndarray) -> np.ndarray:
     """Row-wise products of a real (n, d, d) and a real or complex (n, d)
-    stack: a complex stack's real and imaginary parts go through one real
-    product, which moves half the bytes of a complex one."""
-    if not np.iscomplexobj(vectors):
+    or (n, k, d) stack: a complex (n, d) stack's real and imaginary parts go
+    through one real product, which moves half the bytes of a complex one."""
+    if not np.iscomplexobj(vectors) or vectors.ndim == matrices.ndim:
         return _matvec(matrices, vectors)
     pairs = np.ascontiguousarray(vectors).view(float).reshape(*vectors.shape, 2)
     return np.matmul(matrices, pairs).view(complex)[..., 0]
@@ -88,11 +95,12 @@ class Propagator:
     rows only, in order; the other rows keep their matrix in `h` and evolve
     by `_expm(-i*H*tau)`, one exponential per row and interval length.
 
-    The scorer in `inference` holds its states in the form `to_coords`
-    gives (y on eigen rows, psi on the others) and moves them with `turn`,
-    `step` and `Detector`; `evolve` composes the first three to map states
-    to states, and `to_coeffs`/`from_coeffs` serve the simulator's survival
-    search.
+    The scorer in `inference` and the simulator both hold their states in
+    the form `to_coords` gives (y on eigen rows, psi on the others) and move
+    them with `turn` and `Detector`; the scorer also uses `step`, the
+    simulator `turn` at many interval lengths at once for its survival
+    search. `evolve` composes `to_coords`, `turn` and `from_coords` to map
+    states to states.
     """
 
     def __init__(self, eig, eigvals, basis, basis_inv, partner, h):
@@ -163,23 +171,37 @@ class Propagator:
         return real * coords + imag * self._partners(coords)
 
     def to_coords(self, states: np.ndarray) -> np.ndarray:
-        """The scorer's form of an (n, dim) state stack: the refined
-        coordinates y = W^-1 psi on eigen rows, the states on the others."""
+        """The form the scorer and the simulator hold an (n, dim) state stack
+        in: the refined coordinates y = W^-1 psi on eigen rows, the states
+        on the others."""
         return self._by_path(self._coords, np.copy, states)
 
     def from_coords(self, coords: np.ndarray) -> np.ndarray:
-        """The states that the `to_coords` form holds (W y on eigen rows)."""
+        """The states that the `to_coords` form holds (W y on eigen rows),
+        for an (n, dim) stack or an (n, k, dim) one from `turn`."""
         return self._by_path(lambda y: _real_matvec(self.basis, y), np.copy, coords)
 
-    def turn(self, coords: np.ndarray, tau: float) -> np.ndarray:
-        """The `to_coords` form after a no-detection interval tau > 0."""
+    def turn(self, coords: np.ndarray, tau) -> np.ndarray:
+        """The `to_coords` form after a no-detection interval tau >= 0.
+
+        A scalar tau gives (n, dim); a 1-d array of k interval lengths gives
+        (n, k, dim), row i turned from coords[i] to each of them.
+        """
         taus = np.asarray(tau, dtype=float)
 
         def on_eig(y):
+            if taus.ndim:  # one row of turns per interval length
+                turns = np.take(np.exp(taus[:, None] * self._first_rates), self._first_of, axis=1)
+                turns = turns.reshape(len(taus), *y.shape)
+                return self._turned(y, turns.real, turns.imag * self._imag_sign).swapaxes(0, 1)
             turns = np.exp(taus * self._first_rates)[self._first_of].reshape(y.shape)
             return self._turned(y, turns.real, turns.imag * self._imag_sign)
 
-        return self._by_path(on_eig, lambda s: self._expm_evolve(s, taus)[:, 0], coords)
+        def on_fallback(states):
+            out = self._expm_evolve(states, taus)
+            return out if taus.ndim else out[:, 0]
+
+        return self._by_path(on_eig, on_fallback, coords)
 
     def step(self, states: np.ndarray, coords: np.ndarray, tau: float) -> np.ndarray:
         """The states after an interval tau from `states`, whose `to_coords`
@@ -204,39 +226,6 @@ class Propagator:
         if tau == 0.0:
             return states.copy()
         return self.from_coords(self.turn(self.to_coords(states), tau))
-
-    def to_coeffs(self, states: np.ndarray) -> np.ndarray:
-        """What `from_coeffs` evolves, for a stack whose candidates take one
-        path. On the eigen path, the weights B = [W y, W y_partner] with
-        their columns interleaved, (n, dim, 2*dim), so that the state after
-        tau is B applied to the interleaved real and imaginary parts of
-        e^{mu tau}; a segment pays for B once, then one product per interval
-        length. On the fallback, the states. States without an imaginary
-        part (all of them from a real start, as A and the collapse operators
-        are real) give a real B."""
-        if self.method == METHOD_FALLBACK:
-            return states
-        if np.iscomplexobj(states) and not np.any(states.imag):
-            states = states.real
-        coords = self._coords(states)
-        weights = np.empty(self.basis.shape[:2] + (2 * self.basis.shape[2],), dtype=coords.dtype)
-        np.multiply(self.basis, coords[:, None], out=weights[..., 0::2])
-        np.multiply(self.basis, self._partners(coords)[:, None], out=weights[..., 1::2])
-        return weights
-
-    def from_coeffs(self, coeffs: np.ndarray, tau) -> np.ndarray:
-        """The states after a no-detection interval tau >= 0.
-
-        A scalar tau gives (n, dim); a 1-d array of k interval lengths gives
-        (n, k, dim), row i evolved from coeffs[i] to each of them.
-        """
-        taus = np.asarray(tau, dtype=float)
-        if self.method == METHOD_FALLBACK:
-            out = self._expm_evolve(coeffs, taus)
-        else:
-            turns = np.exp(taus.reshape(-1)[None, :, None] * self.eigvals[:, None])
-            out = np.matmul(turns.view(float), coeffs.swapaxes(1, 2))
-        return out if taus.ndim else out[:, 0]
 
 
 class Detector:
@@ -389,7 +378,7 @@ def _eig_error(h: np.ndarray, prop: Propagator) -> float:
             if np.any(turned[zeros] != 0):
                 return math.inf
         for probe in probes:
-            got = prop.from_coords(prop.turn(prop.to_coords(probe[None]), tau))[0]
+            got = prop.evolve(probe[None], tau)[0]
             ref = want @ probe
             err, size = (np.linalg.norm(views[:n_views] * x, axis=1) for x in (got - ref, ref))
             # a share whose norm underflows to 0 passes only without error
@@ -448,10 +437,11 @@ def max_total_decay_rate(model: Model) -> float:
     return 2.0 * TWO_PI * p.kappa * p.n_trunc + 2.0 * TWO_PI * p.gamma_perp
 
 
-def _survival(propagator: Propagator, coeffs: np.ndarray, tau):
-    """Squared no-detection norm of a single-candidate segment at tau, or at
-    each of a 1-d array of interval lengths."""
-    amps = propagator.from_coeffs(coeffs, tau)[0]
+def _survival(propagator: Propagator, coords: np.ndarray, tau):
+    """Squared no-detection norm of a single-candidate segment, whose start
+    is held in the `to_coords` form, at tau, or at each of a 1-d array of
+    interval lengths."""
+    amps = propagator.from_coords(propagator.turn(coords, tau))[0]
     if amps.ndim == 1:
         s = float(np.vdot(amps, amps).real)
         finite = math.isfinite(s)
@@ -464,7 +454,7 @@ def _survival(propagator: Propagator, coeffs: np.ndarray, tau):
 
 
 def _locate_jump_time(
-    propagator: Propagator, coeffs: np.ndarray, target: float, remaining: float, step: float
+    propagator: Propagator, coords: np.ndarray, target: float, remaining: float, step: float
 ) -> float:
     """First time where the squared-norm survival drops below target.
 
@@ -478,7 +468,7 @@ def _locate_jump_time(
         last_batch = grid[-1] >= remaining
         if last_batch:
             grid = np.concatenate([grid[grid < remaining], [remaining]])
-        s = _survival(propagator, coeffs, grid)
+        s = _survival(propagator, coords, grid)
         below = s < target
         idx = int(np.argmax(below))
         if below[idx]:
@@ -497,7 +487,7 @@ def _locate_jump_time(
         if hi - lo <= JUMP_TIME_TOL:
             break
         mid = 0.5 * (lo + hi)
-        if _survival(propagator, coeffs, mid) >= target:
+        if _survival(propagator, coords, mid) >= target:
             lo = mid
         else:
             hi = mid
@@ -609,7 +599,10 @@ def simulate_record(
     if seed < 0:
         raise InvalidParametersError(f"seed must be >= 0, got {seed}")
     psi = _normalized_initial(model, initial_state)
+    if not np.any(psi.imag):
+        psi = psi.real  # A and both collapse operators are real, so psi stays real
     propagator = prepare_propagator(effective_hamiltonian(model, g_true))
+    detectors = (Detector(propagator, model.c0), Detector(propagator, model.c1))
     rng = np.random.default_rng(seed)
     step = min(0.25 / max_total_decay_rate(model), (tf - t0) / 10.0)
     times: list[float] = []
@@ -622,13 +615,13 @@ def simulate_record(
         r = rng.random()
         while r == 0.0:  # open interval: a zero survival target is never reached
             r = rng.random()
-        coeffs = propagator.to_coeffs(psi[None])  # once per inter-jump segment
-        if _survival(propagator, coeffs, remaining) >= r:
+        coords = propagator.to_coords(psi[None])  # once per inter-jump segment
+        if _survival(propagator, coords, remaining) >= r:
             break
-        tau_star = _locate_jump_time(propagator, coeffs, r, remaining, step)
-        psi_star = propagator.from_coeffs(coeffs, tau_star)[0]
-        w0 = float(np.vdot(model.c0 @ psi_star, model.c0 @ psi_star).real)
-        w1 = float(np.vdot(model.c1 @ psi_star, model.c1 @ psi_star).real)
+        tau_star = _locate_jump_time(propagator, coords, r, remaining, step)
+        psi_star = propagator.from_coords(propagator.turn(coords, tau_star))
+        jumped = [detector.on_states(psi_star)[0] for detector in detectors]
+        w0, w1 = weights = [float(np.vdot(x, x).real) for x in jumped]
         w_sum = w0 + w1
         if not math.isfinite(w_sum) or w_sum <= 0.0:
             raise NumericError(
@@ -637,9 +630,7 @@ def simulate_record(
             )
         u = rng.random()
         channel = CHANNEL_ATOM if u * w_sum < w0 else CHANNEL_CAVITY
-        collapse = model.c0 if channel == CHANNEL_ATOM else model.c1
-        psi = collapse @ psi_star
-        psi = psi / math.sqrt(float(np.vdot(psi, psi).real))
+        psi = jumped[channel] / math.sqrt(weights[channel])
         t_star = min(t + tau_star, tf)
         if times and t_star <= times[-1]:
             t_star = np.nextafter(times[-1], np.inf)  # keep strict ordering

@@ -4,6 +4,7 @@ from unittest.mock import patch
 import numpy as np
 import pytest
 
+import qsysid.dynamics
 import qsysid.inference
 from qsysid import ModelParams, build_model, prepare_propagator
 
@@ -44,13 +45,16 @@ def rng():
 
 @contextmanager
 def forced_path(method):
-    """Make the scorer prepare every candidate on one propagator path; yields
-    the list the prepared propagators go to."""
+    """Make the scorer and the simulator prepare every propagator on one
+    path; yields the list the prepared propagators go to."""
     built = []
 
     def prepare(hamiltonian):
         built.append(prepare_propagator(hamiltonian, method))
         return built[-1]
 
-    with patch.object(qsysid.inference, "prepare_propagator", prepare):
+    with (
+        patch.object(qsysid.inference, "prepare_propagator", prepare),
+        patch.object(qsysid.dynamics, "prepare_propagator", prepare),
+    ):
         yield built

@@ -17,7 +17,14 @@ TWO_PI = 2.0 * np.pi
 
 
 def direct_log_density(model: Model, record: ClassicalRecord, g: float) -> float:
-    """Record density as a dense operator-product trace, then log."""
+    """Record density as a dense operator-product trace, then log.
+
+    One exponential per interval, so it is inexact at strong damping, where
+    the norm decays far across an interval: at `n_trunc` 38, kappa 0.97,
+    gamma_perp 246, epsilon 43, g 38.9 MHz it is 1.4e-7 (relative) off
+    `chunked_log_density`. Use that oracle beyond toy sizes and short
+    windows.
+    """
     h = effective_hamiltonian(model, g).matrix
     psi = ground_vacuum(model)
     rho = np.outer(psi, psi.conj())

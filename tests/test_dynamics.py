@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -27,7 +28,7 @@ from qsysid import (
     simulate_record,
 )
 
-from qsysid.dynamics import EIG_TOLERANCE, _expm
+from qsysid.dynamics import EIG_TOLERANCE, Detector, _expm
 
 from conftest import forced_path
 from oracles import direct_log_density, empty_cavity_expected_counts
@@ -90,6 +91,29 @@ def test_eigen_path_matches_expm_at_simulated_window_lengths(cavity_model, g):
             assert np.linalg.norm(got - want @ psi) <= EIG_TOLERANCE * np.linalg.norm(want @ psi)
         got = np.stack([prop.evolve(e[None], tau)[0] for e in basis], axis=1)
         assert np.all(got[want == 0] == 0)
+
+
+@pytest.mark.parametrize("n_trunc", [18, 30, 40])
+def test_coordinate_detections_match_collapse_at_operating_dimension(cavity_params, n_trunc):
+    # the path check measures turns only; a detection on an eigen row is one
+    # product with M = W^-1 C W, which is built after the check. On every
+    # 4th default-grid candidate, one detection per channel on the ground
+    # vacuum turned through a renormalization chunk is within 1e-12
+    # (relative) of C psi, and exactly zero where C psi is
+    params = dataclasses.replace(cavity_params, n_trunc=n_trunc)
+    model = build_model(params)
+    prop = Propagator.stack([
+        prepare_propagator(effective_hamiltonian(model, float(g))) for g in default_grid(params).values[::4]
+    ])
+    assert prop.method == METHOD_EIG
+    start = np.tile(ground_vacuum(model).real, (len(prop.eig), 1))
+    coords = prop.turn(prop.to_coords(start), 100.0 / max_total_decay_rate(model))
+    states = prop.from_coords(coords)
+    for collapse in (model.c0, model.c1):
+        detector = Detector(prop, collapse)
+        want = detector.on_states(states)
+        err = np.linalg.norm(prop.from_coords(detector.on_coords(coords)) - want, axis=1)
+        assert np.all(err <= 1e-12 * np.linalg.norm(want, axis=1))
 
 
 @pytest.mark.parametrize("g", [0.0, 45.0])
@@ -222,13 +246,13 @@ def test_evolve_matches_dense_expm(small_model, rng):
         np.testing.assert_allclose(prop.evolve(psi[None], tau)[0], expected, atol=1e-11)
 
 
-def test_from_coeffs_at_many_times_matches_evolve(small_model, rng):
+def test_turn_at_many_times_matches_evolve(small_model, rng):
     h = effective_hamiltonian(small_model, 2.2)
     taus = np.array([0.0, 0.02, 0.3, 0.77])
     psi = random_state(rng, small_model.dim)
     for method in (METHOD_EIG, METHOD_FALLBACK):
         prop = prepare_propagator(h, method)
-        batch = prop.from_coeffs(prop.to_coeffs(psi[None]), taus)
+        batch = prop.from_coords(prop.turn(prop.to_coords(psi[None]), taus))
         assert batch.shape == (1, len(taus), small_model.dim)
         for k, tau in enumerate(taus):
             expected = prop.evolve(psi[None], float(tau))[0]
@@ -249,6 +273,13 @@ def test_stacked_propagator_evolves_each_row_like_its_member(small_model, rng):
         out = stack.evolve(states, tau)
         for i, member in enumerate(members):
             np.testing.assert_array_equal(out[i], member.evolve(states[i:i + 1], tau)[0])
+    # and at many interval lengths at once, as the simulator turns a segment
+    taus = np.array([0.013, 0.4])
+    out = stack.from_coords(stack.turn(stack.to_coords(states), taus))
+    assert out.shape == (len(members), len(taus), small_model.dim)
+    for i, member in enumerate(members):
+        want = member.from_coords(member.turn(member.to_coords(states[i:i + 1]), taus))[0]
+        np.testing.assert_array_equal(out[i], want)
 
 
 @pytest.mark.parametrize("method", [METHOD_EIG, METHOD_FALLBACK])
@@ -406,18 +437,36 @@ def test_simulate_rejects_negative_seed(small_model):
 def test_jump_time_inverts_survival_curve(seed):
     # one photon, no drive, no coupling, no atomic decay: survival is
     # exp(-2*kappa*tau), so the sampled jump time must be -ln(r)/(2*kappa)
-    # for the first uniform draw r of the seeded generator.
+    # for the first uniform draw r of the seeded generator, on either path.
     kappa = 1.3
     model = build_model(ModelParams(g0=1.0, gamma_perp=0.0, kappa=kappa, epsilon=0.0, n_trunc=2))
     psi = np.zeros(model.dim, dtype=complex)
     psi[basis_index(1, 0)] = 1.0
-    record = simulate_record(model, g_true=0.0, t0=0.0, tf=50.0, seed=seed, initial_state=psi)
     r = np.random.default_rng(seed).random()
     assert r != 0.0
     expected = -math.log(r) / (2.0 * TWO_PI * kappa)
-    assert record.n_events == 1
-    assert record.channels[0] == CHANNEL_CAVITY
-    assert record.times[0] == pytest.approx(expected, abs=1e-8)
+    for method in (METHOD_EIG, METHOD_FALLBACK):
+        with forced_path(method) as built:
+            record = simulate_record(model, g_true=0.0, t0=0.0, tf=50.0, seed=seed, initial_state=psi)
+        assert [p.method for p in built] == [method]
+        assert record.n_events == 1
+        assert record.channels[0] == CHANNEL_CAVITY
+        assert record.times[0] == pytest.approx(expected, abs=1e-8)
+
+
+# A record's bytes at fixed seeds. A change meant to move them (another
+# jump-time search, say) updates these digests and says so.
+@pytest.mark.parametrize("method", [METHOD_EIG, METHOD_FALLBACK])
+def test_small_model_records_are_pinned(small_model, method):
+    with forced_path(method) as built:
+        records = [simulate_record(small_model, 3.0, 0.0, 20.0, seed=seed) for seed in (1, 2)]
+    assert [p.method for p in built] == [method] * 2
+    assert [(r.n_events, r.digest()) for r in records] == [(24, "c454a8ea4b66"), (29, "8456b8b20be8")]
+
+
+def test_headline_record_is_pinned(cavity_model):
+    record = simulate_record(cavity_model, 45.0, 0.0, 1.0, seed=1)
+    assert (record.n_events, record.digest()) == (645, "15cfd17513a9")
 
 
 def test_simulated_counts_match_driven_cavity_mean():
