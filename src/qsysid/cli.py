@@ -102,8 +102,7 @@ def _cmd_estimate(args) -> int:
     config = parse_config(args.config)
     model = build_model(config.model_params())
     record = read_record(args.record)
-    want_history = config.with_history or args.history is not None
-    surface = likelihood_surface(model, record, config.grid(), with_history=want_history)
+    surface = likelihood_surface(model, record, config.grid(), with_history=args.history is not None)
     write_surface_csv(args.out, surface)
     if args.history is not None:
         write_history_csv(args.history, surface)

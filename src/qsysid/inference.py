@@ -9,14 +9,16 @@ it cancels in the posterior and in any likelihood comparison.
 Scoring walks the record once with the states for all grid candidates
 stacked, in each candidate's eigen-coordinates (`dynamics.Propagator`):
 an interval turns them, a detection is one real product, and every chunk
-(at most `max_step` of no-detection evolution) and event is renormalized
-by the coordinates' norm with the removed log factors summed, so nothing
-underflows even for event-free windows hundreds of decay times long. The
-state itself is formed only where a true norm closes the sum. That pass is
-the only replay of a record in the package: surfaces, per-jump history,
-checkpoint estimates and the conditional states (`conditional_states`,
-the pass on a stack of one candidate) all come out of it. An ensemble
-prepares its grid once for all its records.
+of no-detection evolution (at most `_RENORM_LOG_BUDGET` over the largest
+total decay rate) and event is renormalized by the coordinates' norm with
+the removed log factors summed, so nothing underflows even for event-free
+windows hundreds of decay times long. The state itself is formed only
+where a true norm closes the sum. That pass is the only replay of a record
+in the package, and everything is a cut of it: the surface is the record
+cut at tf, the per-jump history the cuts at the event times, checkpoint
+estimates and the conditional states (`conditional_states`, the pass on a
+stack of one candidate) the cuts at their times. An ensemble prepares its
+grid once for all its records.
 """
 
 from __future__ import annotations
@@ -58,7 +60,7 @@ class GGrid:
         if self.step <= 0:
             raise InvalidParametersError(f"step must be > 0, got {self.step}")
         n = int(math.floor((self.g_max - self.g_min) / self.step + 1e-9)) + 1
-        values = self.g_min + self.step * np.arange(n, dtype=float)
+        values = np.minimum(self.g_min + self.step * np.arange(n, dtype=float), self.g_max)
         values.flags.writeable = False
         object.__setattr__(self, "values", values)
 
@@ -170,22 +172,24 @@ def _score_record(
     prop: Propagator,
     detectors: tuple[Detector, Detector],
     record: ClassicalRecord,
-    *,
-    want_history: bool = False,
-    checkpoints: np.ndarray | None = None,
-    max_step: float | None = None,
+    times,
 ):
     """One streaming pass over the record for every candidate of a
-    `_prepare` stack.
+    `_prepare` stack, yielding the record cut at each of the ascending
+    `times` in [t0, tf].
+
+    For each time the pass yields (time, events_included, states, loglik):
+    the number of events at or before it (a cut at an event's time
+    includes that event), the (n_g, dim) normalized conditional states
+    there and the per-candidate log-likelihood of the cut record.
 
     The pass holds each candidate's state in its propagator's coordinates
     (`Propagator.to_coords`: y = W^-1 psi on the eigen path, psi on the
     fallback), turns them through each no-detection interval and applies
     each detection as one product (`Detector.on_coords`), dividing by the
     coordinates' norm after every chunk and event and summing the logs. A
-    state is formed (psi = W y) only where a true norm is needed, at
-    checkpoints, history rows and the end: the log-likelihood there is the
-    summed logs plus log ||psi||^2, which closes the telescoped sum.
+    state is formed (psi = W y) only at a cut, where the log-likelihood is
+    the summed logs plus log ||psi||^2, which closes the telescoped sum.
 
     A detection within 1/(largest total decay rate) of the one before goes
     through psi instead: the states just after that one, formed from its
@@ -193,31 +197,22 @@ def _score_record(
     collapsed as the index shift they are, so a share that only this short
     interval feeds (the atom re-excited right after an atomic detection)
     is scored relative to itself. Whether an event goes through psi depends
-    on the record up to it alone, so a checkpoint runs the arithmetic of
-    scoring the record cut there.
-
-    Returns (loglik, history, checkpoint_rows) where checkpoint_rows is a
-    list of (time, events_included, states, loglik_vector), states being
-    the (n_g, dim) normalized conditional states there, and history is an
-    (n_events, n_g) array or None.
+    on the record up to it alone, so every cut runs the arithmetic of
+    scoring the record that ends there.
     """
     record.validate()
+    times = np.asarray(times, dtype=float)
+    if times.size and (
+        not np.all(np.isfinite(times))
+        or np.any(np.diff(times) < 0)
+        or times[0] < record.t0
+        or times[-1] > record.tf
+    ):
+        raise InvalidParametersError(
+            "cut times must be finite, ascending and within the record window"
+        )
     decay = max_total_decay_rate(model)
-    if max_step is None:
-        max_step = _RENORM_LOG_BUDGET / decay
-    elif not (math.isfinite(max_step) and max_step > 0):
-        raise InvalidParametersError(f"max_step must be > 0, got {max_step}")
-    if checkpoints is not None:
-        checkpoints = np.asarray(checkpoints, dtype=float)
-        if checkpoints.size and (
-            not np.all(np.isfinite(checkpoints))
-            or np.any(np.diff(checkpoints) < 0)
-            or checkpoints[0] < record.t0
-            or checkpoints[-1] > record.tf
-        ):
-            raise InvalidParametersError(
-                "checkpoints must be finite, ascending and within the record window"
-            )
+    chunk = _RENORM_LOG_BUDGET / decay
     n_g = len(prop.eig)
     start = np.tile(ground_vacuum(model).real, (n_g, 1))
     coords = prop.to_coords(start)
@@ -230,10 +225,10 @@ def _score_record(
 
     def advance(tau: float) -> tuple[np.ndarray, np.ndarray]:
         """(coords, loglik) after no-detection evolution over tau > 0,
-        renormalized per chunk; works on copies, so a checkpoint runs a
+        renormalized per chunk; works on copies, so a cut runs a
         commit's arithmetic."""
         new_coords, new_loglik = coords, loglik.copy()
-        n_sub = max(1, math.ceil(tau / max_step))
+        n_sub = max(1, math.ceil(tau / chunk))
         sub = tau / n_sub
         for _ in range(n_sub):
             new_coords = prop.turn(new_coords, sub)
@@ -241,10 +236,7 @@ def _score_record(
             if not np.all(np.isfinite(n2[alive])):
                 raise NumericError("no-detection evolution produced non-finite norms")
             if np.any(n2[alive] <= 0.0):
-                raise NumericError(
-                    "no-detection norm underflowed; reduce max_step so each "
-                    "chunk stays within the floating-point range"
-                )
+                raise NumericError("no-detection norm underflowed within one renormalization chunk")
             _renormalize(new_coords, new_loglik, alive, n2)
         return new_coords, new_loglik
 
@@ -272,16 +264,14 @@ def _score_record(
         _renormalize(rows, loglik, alive, n2)
         return n2
 
-    history_rows: list[np.ndarray] = [] if want_history else None
-    checkpoint_rows: list[tuple[float, int, np.ndarray, np.ndarray]] = []
-    cp_i = 0
+    times = times.tolist()
+    i = 0
     t_prev = record.t0
     for k in range(record.n_events):
         t_k = float(record.times[k])
-        while checkpoints is not None and cp_i < checkpoints.size and checkpoints[cp_i] < t_k:
-            t_cp = float(checkpoints[cp_i])
-            checkpoint_rows.append((t_cp, k, *cut(t_cp - t_prev)))
-            cp_i += 1
+        while i < len(times) and times[i] < t_k:
+            yield (times[i], k, *cut(times[i] - t_prev))
+            i += 1
         detector = detectors[record.channels[k]]
         if (t_k - t_prev) * decay <= 1.0:
             states = detector.on_states(prop.step(after_last_event(), coords, t_k - t_prev))
@@ -300,33 +290,18 @@ def _score_record(
                 states[alive] /= np.sqrt(n2[alive])[:, None]
                 states[~alive] = 0.0
                 return states
-        if want_history:
-            history_rows.append(cut(0.0)[1])
         t_prev = t_k
-    while checkpoints is not None and cp_i < checkpoints.size:
-        t_cp = float(checkpoints[cp_i])
-        checkpoint_rows.append((t_cp, record.n_events, *cut(t_cp - t_prev)))
-        cp_i += 1
-    _, loglik = cut(record.tf - t_prev)
-    history = np.array(history_rows) if want_history and history_rows else None
-    if want_history and not history_rows:
-        history = np.zeros((0, n_g), dtype=float)
-    return loglik, history, checkpoint_rows
+    for t in times[i:]:
+        yield (t, record.n_events, *cut(t - t_prev))
 
 
-def log_likelihood(
-    model: Model,
-    record: ClassicalRecord,
-    g: float,
-    *,
-    max_step: float | None = None,
-) -> float:
+def log_likelihood(model: Model, record: ClassicalRecord, g: float) -> float:
     """Record log-likelihood at a single candidate coupling.
 
     Returns -inf when some recorded event has exactly zero amplitude under
     this g (the candidate is excluded, not an error).
     """
-    loglik, _, _ = _score_record(model, *_prepare(model, [g]), record, max_step=max_step)
+    ((_, _, _, loglik),) = _score_record(model, *_prepare(model, [g]), record, [record.tf])
     return float(loglik[0])
 
 
@@ -336,16 +311,19 @@ def likelihood_surface(
     grid: GGrid,
     *,
     with_history: bool = False,
-    max_step: float | None = None,
 ) -> LikelihoodSurface:
-    """Score one record against every grid candidate in a single pass."""
-    loglik, history, _ = _score_record(
-        model, *_prepare(model, grid.values), record, want_history=with_history, max_step=max_step
-    )
+    """Score one record against every grid candidate in a single pass; with
+    history, the same pass also cuts the record at each event."""
+    times = np.append(record.times, record.tf) if with_history else [record.tf]
+    logliks = np.array([
+        loglik for (_, _, _, loglik) in _score_record(
+            model, *_prepare(model, grid.values), record, times
+        )
+    ])
     return LikelihoodSurface(
         grid=grid,
-        loglik=loglik,
-        history=history,
+        loglik=logliks[-1],
+        history=logliks[:-1] if with_history else None,
         record_ref=record.digest(),
         n_events=record.n_events,
         t0=record.t0,
@@ -399,7 +377,6 @@ def estimate_time_series(
     checkpoints,
     *,
     refine: bool = True,
-    max_step: float | None = None,
 ) -> list[Estimate]:
     """Estimates from the record truncated at each checkpoint time.
 
@@ -408,31 +385,27 @@ def estimate_time_series(
     `grid` may also be a `_PreparedGrid` made under model.
     """
     prepared = grid if isinstance(grid, _PreparedGrid) else _prepare_grid(model, grid)
-    _, _, rows = _score_record(
-        model, prepared.propagator, prepared.detectors, record,
-        checkpoints=np.asarray(checkpoints, dtype=float), max_step=max_step,
-    )
+    cuts = _score_record(model, prepared.propagator, prepared.detectors, record, checkpoints)
     return [
-        _estimate_from_loglik(prepared.grid, vec, refine, jump_index=k, time=t)
-        for (t, k, _, vec) in rows
+        _estimate_from_loglik(prepared.grid, loglik, refine, jump_index=k, time=t)
+        for (t, k, _, loglik) in cuts
     ]
 
 
 def conditional_states(model: Model, g: float, record: ClassicalRecord, times) -> list[np.ndarray]:
     """The normalized conditional state amplitudes at each query time.
 
-    The record is replayed under the coupling g by the scorer's pass, with
-    the query times as checkpoints, so a state is exactly the one scoring
-    the record cut there ends with; a query at an event time includes that
-    event's collapse. `times` must be ascending and inside [t0, tf].
+    The record is replayed under the coupling g by the scorer's pass, cut
+    at the query times, so a state is exactly the one scoring the record
+    cut there ends with; a query at an event time includes that event's
+    collapse. `times` must be ascending and inside [t0, tf].
     """
-    _, _, rows = _score_record(
-        model, *_prepare(model, [g]), record, checkpoints=np.asarray(times, dtype=float)
-    )
-    for t, k, _, loglik in rows:
+    out = []
+    for t, k, states, loglik in _score_record(model, *_prepare(model, [g]), record, times):
         if loglik[0] == -np.inf:
             raise NumericError(
                 f"one of the first {k} record events has zero weight under g={g}; "
                 f"the state at t={t} cannot be reconstructed"
             )
-    return [states[0].astype(complex) for (_, _, states, _) in rows]
+        out.append(states[0].astype(complex))
+    return out

@@ -39,7 +39,6 @@ _CONFIG_KEYS = {
     "n_traj",
     "checkpoints_us",
     "refine",
-    "with_history",
 }
 _GRID_KEYS = {"min_mhz", "max_mhz", "step_mhz"}
 _RECORD_KEYS = {"schema", "t0_us", "tf_us", "events", "metadata"}
@@ -65,7 +64,6 @@ class Config:
     n_traj: int
     checkpoints: tuple[float, ...] | None = None
     refine: bool = True
-    with_history: bool = False
 
     def model_params(self) -> ModelParams:
         return ModelParams(
@@ -201,9 +199,6 @@ def parse_config(path) -> Config:
         checkpoints = cp
 
     refine = _as_bool(raw["refine"], "refine") if "refine" in raw else True
-    with_history = (
-        _as_bool(raw["with_history"], "with_history") if "with_history" in raw else False
-    )
 
     return Config(
         g0=g0,
@@ -221,7 +216,6 @@ def parse_config(path) -> Config:
         n_traj=n_traj,
         checkpoints=checkpoints,
         refine=refine,
-        with_history=with_history,
     )
 
 

@@ -1,6 +1,8 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -219,11 +221,15 @@ def test_impossible_record_exits_3(tmp_path, capsys):
 
 
 def test_module_entry_point(tmp_path, toy_config):
+    # the child does not inherit pytest's pythonpath, so hand it src/
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     out = tmp_path / "record.json"
     proc = subprocess.run(
         [sys.executable, "-m", "qsysid", "simulate", "--config", str(toy_config), "--out", str(out)],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert "events" in proc.stdout

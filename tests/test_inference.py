@@ -1,9 +1,11 @@
 import warnings
+from unittest.mock import patch
 
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
+import qsysid.inference
 from qsysid import (
     METHOD_EIG,
     METHOD_FALLBACK,
@@ -20,6 +22,7 @@ from qsysid import (
     ground_vacuum,
     likelihood_surface,
     log_likelihood,
+    max_total_decay_rate,
     posterior_and_mle,
     prepare_propagator,
     simulate_record,
@@ -64,6 +67,14 @@ def test_grid_handles_inexact_step():
     grid = GGrid(0.0, 1.0, 0.1)
     assert grid.n == 11
     assert grid.values[-1] == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("g_max", [0.3, 0.7, 1.0])
+def test_grid_never_overshoots_its_maximum(g_max):
+    # 3 * 0.1 is 0.30000000000000004 in floating point
+    grid = GGrid(0.0, g_max, 0.1)
+    assert grid.values[-1] <= g_max
+    assert grid.values[-1] == pytest.approx(g_max)
 
 
 def test_grid_values_read_only():
@@ -207,8 +218,11 @@ def test_surface_matches_scalar_likelihood(small_model):
 def test_likelihood_invariant_under_evaluation_cadence(small_model):
     record = simulate_record(small_model, 3.0, 0.0, 1.0, seed=22)
     grid = GGrid(0.5, 5.5, 0.5)
-    a = likelihood_surface(small_model, record, grid, max_step=0.11).loglik
-    b = likelihood_surface(small_model, record, grid, max_step=0.013).loglik
+    rate = max_total_decay_rate(small_model)
+    with patch.object(qsysid.inference, "_RENORM_LOG_BUDGET", 0.11 * rate):
+        a = likelihood_surface(small_model, record, grid).loglik
+    with patch.object(qsysid.inference, "_RENORM_LOG_BUDGET", 0.013 * rate):
+        b = likelihood_surface(small_model, record, grid).loglik
     assert np.abs(a - b).max() <= 1e-10
 
 
@@ -258,14 +272,6 @@ def test_all_candidates_excluded_raises():
         posterior_and_mle(surf)
 
 
-def test_max_step_validation(small_model):
-    record = simulate_record(small_model, 3.0, 0.0, 1.0, seed=25)
-    with pytest.raises(InvalidParametersError):
-        log_likelihood(small_model, record, 3.0, max_step=0.0)
-    with pytest.raises(InvalidParametersError):
-        log_likelihood(small_model, record, 3.0, max_step=float("nan"))
-
-
 # ------------------------------------------------------------------- history
 
 
@@ -282,7 +288,7 @@ def test_history_rows_match_truncated_records(flux_model):
             times=record.times[: i + 1], channels=record.channels[: i + 1],
         )
         full = likelihood_surface(flux_model, truncated, grid).loglik
-        assert np.abs(surf.history[i] - full).max() <= 1e-10
+        np.testing.assert_array_equal(surf.history[i], full)
 
 
 def test_history_empty_record(small_model):
@@ -376,28 +382,28 @@ def test_time_series_checkpoint_conventions(small_model):
 
 def test_time_series_final_checkpoint_matches_full_surface(small_model):
     # a checkpoint runs exactly the arithmetic of scoring the record cut at
-    # it, so every checkpoint matches bit for bit, also when max_step splits
-    # the gap before a checkpoint into several renormalization chunks
+    # it, so every checkpoint matches bit for bit, also when a shorter
+    # renormalization chunk splits the gap before a checkpoint into several
     record = simulate_record(small_model, 3.0, 0.0, 1.0, seed=28)
     grid = GGrid(1.0, 5.0, 0.5)
     checkpoints = [0.3, 0.55, 0.8, record.tf]
     gaps = [t - max(record.times[record.times <= t], default=record.t0) for t in checkpoints]
     assert max(gaps) >= 2 * 0.013
-    for max_step in (None, 0.013):
-        series = estimate_time_series(
-            small_model, record, grid, checkpoints, max_step=max_step
-        )
-        for t, est in zip(checkpoints, series):
-            kept = record.times <= t
-            cut = ClassicalRecord(
-                t0=record.t0, tf=t, times=record.times[kept], channels=record.channels[kept]
-            )
-            full = posterior_and_mle(likelihood_surface(small_model, cut, grid, max_step=max_step))
-            assert est.g_mle == full.g_mle
-            assert est.posterior_mean == full.posterior_mean
-            assert est.posterior_sd == full.posterior_sd
-            assert est.time == full.time == t
-            assert est.jump_index == full.jump_index == cut.n_events
+    default = qsysid.inference._RENORM_LOG_BUDGET
+    for budget in (default, 0.013 * max_total_decay_rate(small_model)):
+        with patch.object(qsysid.inference, "_RENORM_LOG_BUDGET", budget):
+            series = estimate_time_series(small_model, record, grid, checkpoints)
+            for t, est in zip(checkpoints, series):
+                kept = record.times <= t
+                cut = ClassicalRecord(
+                    t0=record.t0, tf=t, times=record.times[kept], channels=record.channels[kept]
+                )
+                full = posterior_and_mle(likelihood_surface(small_model, cut, grid))
+                assert est.g_mle == full.g_mle
+                assert est.posterior_mean == full.posterior_mean
+                assert est.posterior_sd == full.posterior_sd
+                assert est.time == full.time == t
+                assert est.jump_index == full.jump_index == cut.n_events
     assert series[-1].jump_index == record.n_events
 
 

@@ -66,7 +66,6 @@ def test_parse_config_happy_path(tmp_path):
     assert cfg.n_trunc == 30
     assert (cfg.grid_min, cfg.grid_max, cfg.grid_step) == (35.0, 57.0, 1.0)
     assert cfg.refine is True
-    assert cfg.with_history is False
     assert cfg.checkpoints is None
     assert cfg.grid().n == 23
     assert cfg.model_params() == ModelParams(57.0, 2.5, 30.0, 44.3, 30)
@@ -83,14 +82,14 @@ def test_config_round_trip(tmp_path):
             "n_trunc": 6, "g_true_mhz": 3.0,
             "grid": {"min_mhz": 1.0, "max_mhz": 5.0, "step_mhz": 0.5},
             "t0_us": 0.0, "tf_us": 2.0, "seed": 11, "n_traj": 4,
-            "checkpoints_us": [0.5, 1.0, 2.0], "refine": False, "with_history": True,
+            "checkpoints_us": [0.5, 1.0, 2.0], "refine": False,
         },
     )
     assert parse_config(path) == Config(
         g0=6.0, gamma_perp=0.8, kappa=1.5, epsilon=2.0, n_trunc=6,
         g_true=3.0, grid_min=1.0, grid_max=5.0, grid_step=0.5,
         t0=0.0, tf=2.0, seed=11, n_traj=4,
-        checkpoints=(0.5, 1.0, 2.0), refine=False, with_history=True,
+        checkpoints=(0.5, 1.0, 2.0), refine=False,
     )
 
 
@@ -131,7 +130,7 @@ def test_missing_required_key_named(tmp_path):
         (dict(n_traj=0), "n_traj"),
         (dict(seed=1.5), "seed"),
         (dict(refine="yes"), "refine"),
-        (dict(with_history=1), "with_history"),
+        (dict(with_history=True), "with_history"),  # retired: now an unknown key
         (dict(grid={"min_mhz": -1.0, "max_mhz": 1.0, "step_mhz": 0.5}), "grid.min_mhz"),
         (dict(grid={"min_mhz": 2.0, "max_mhz": 1.0, "step_mhz": 0.5}), "grid.max_mhz"),
         (dict(grid={"min_mhz": 0.0, "max_mhz": 1.0, "step_mhz": 0.0}), "grid.step_mhz"),
