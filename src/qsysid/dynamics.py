@@ -1,19 +1,19 @@
 """Conditional no-detection evolution and Monte Carlo quantum-jump records.
 
 One class, `Propagator`, evaluates the between-detections operator
-exp(-i*H*tau) for a stack of candidate couplings. As H = i*A with A real
-for every coupling of this model, that operator is exp(A*tau), real, and
-the propagator evolves states exactly in the real eigenbasis W of A (the
-real and imaginary parts of each conjugate pair of eigenvectors), found
-in real arithmetic per connected block of H's nonzero pattern: in the
-coordinates y = W^-1 psi an interval only turns and scales each pair. The
-fallback is a Pade matrix exponential per interval length. The path is
-chosen by measured error: the eigenbasis is kept when it evolves the
-states the scorer starts from as the real Pade exponential does, at the
-interval lengths the scorer uses. Coordinates are refined once against
-their residual, so the error on such states stays near rounding level
-although cond(W) reaches 1e9. `Detector` applies a collapse operator in
-the same coordinates, as one real product with W^-1 C W refined once.
+exp(-i*H*tau) = exp(A*tau) for a stack of candidate couplings, from the
+real A alone: H = i*A for every coupling of this model, and the collapse
+operators are real too, so a trajectory stays real throughout. States
+evolve exactly in the real eigenbasis W of A (the real and imaginary parts
+of each conjugate pair of eigenvectors), found per connected block of A's
+nonzero pattern: in the coordinates y = W^-1 psi an interval only turns
+and scales each pair. The fallback is the real Pade exponential exp(A*tau)
+per interval length, and the eigenbasis is kept when it evolves the states
+the scorer starts from as that exponential does, at the interval lengths
+the scorer uses. Coordinates are refined once against their residual, so
+the error on such states stays near rounding level although cond(W)
+reaches 1e9. `Detector` applies a collapse operator in the same
+coordinates, as one real product with W^-1 C W refined once.
 
 The simulator and the scorer in `inference` run the same arithmetic, the
 simulator on a stack of one, the scorer on the whole grid: states held in
@@ -62,22 +62,12 @@ def _matvec(matrices: np.ndarray, vectors: np.ndarray) -> np.ndarray:
     return np.matmul(matrices, vectors[..., None])[..., 0]
 
 
-def _real_matvec(matrices: np.ndarray, vectors: np.ndarray) -> np.ndarray:
-    """Row-wise products of a real (n, d, d) and a real or complex (n, d)
-    or (n, k, d) stack: a complex (n, d) stack's real and imaginary parts go
-    through one real product, which moves half the bytes of a complex one."""
-    if not np.iscomplexobj(vectors) or vectors.ndim == matrices.ndim:
-        return _matvec(matrices, vectors)
-    pairs = np.ascontiguousarray(vectors).view(float).reshape(*vectors.shape, 2)
-    return np.matmul(matrices, pairs).view(complex)[..., 0]
-
-
 class Propagator:
     """exp(-i*H*tau) for a stack of candidate couplings, at any tau >= 0.
 
     Every array carries a leading candidate axis; one coupling is a stack of
-    1. H = i*A with A real for every coupling of this model, so the interval
-    operator exp(-i*H*tau) = exp(A*tau) is real. Rows flagged in `eig`
+    1. The interval operator is the real exp(A*tau), as H = i*A with A real
+    (`prepare_propagator` rejects any other H). Rows flagged in `eig`
     evolve in the real eigenbasis of A: the columns of `basis` (W) are Re v
     and Im v for each conjugate pair (v, conj v) of eigenvectors of A (v for
     a real one), `basis_inv` is W^-1, `partner` links the two columns of a
@@ -92,8 +82,8 @@ class Propagator:
     that is e^{sigma tau} (cos(omega tau) y_k + sin(omega tau) y_k+1) for
     the first column of a pair and e^{sigma tau} (cos(omega tau) y_k+1 -
     sin(omega tau) y_k) for the second. The eigen arrays hold the eigen
-    rows only, in order; the other rows keep their matrix in `h` and evolve
-    by `_expm(-i*H*tau)`, one exponential per row and interval length.
+    rows only, in order; the other rows keep their real A in `a` and evolve
+    by `_expm(A*tau)`, one exponential per row and interval length.
 
     The scorer in `inference` and the simulator both hold their states in
     the form `to_coords` gives (y on eigen rows, psi on the others) and move
@@ -103,13 +93,13 @@ class Propagator:
     states to states.
     """
 
-    def __init__(self, eig, eigvals, basis, basis_inv, partner, h):
+    def __init__(self, eig, eigvals, basis, basis_inv, partner, a):
         self.eig = eig
         self.eigvals = eigvals
         self.basis = basis
         self.basis_inv = basis_inv
         self.partner = partner
-        self.h = h
+        self.a = a
         self._n_eig = int(np.count_nonzero(eig))
         n, dim = partner.shape
         rows = dim * np.arange(n)[:, None]
@@ -125,7 +115,7 @@ class Propagator:
     @classmethod
     def stack(cls, propagators) -> "Propagator":
         """One propagator over the candidates of several, in order."""
-        names = ("eig", "eigvals", "basis", "basis_inv", "partner", "h")
+        names = ("eig", "eigvals", "basis", "basis_inv", "partner", "a")
         return cls(*(np.concatenate([getattr(p, n) for p in propagators]) for n in names))
 
     @property
@@ -145,21 +135,22 @@ class Propagator:
         if self._n_eig == 0:
             return on_fallback(*stacks)
         eig_part = on_eig(*(s[self.eig] for s in stacks))
-        out = np.empty((len(self.eig),) + eig_part.shape[1:], dtype=complex)
+        fallback_part = on_fallback(*(s[~self.eig] for s in stacks))
+        out = np.empty((len(self.eig),) + eig_part.shape[1:], np.result_type(eig_part, fallback_part))
         out[self.eig] = eig_part
-        out[~self.eig] = on_fallback(*(s[~self.eig] for s in stacks))
+        out[~self.eig] = fallback_part
         return out
 
     def _expm_evolve(self, states: np.ndarray, taus: np.ndarray) -> np.ndarray:
         """Fallback rows, to each tau: a Pade exponential per row and tau."""
-        return _matvec(_expm(-1j * taus.reshape(-1)[None, :, None, None] * self.h[:, None]), states[:, None])
+        return _matvec(_expm(taus.reshape(-1)[None, :, None, None] * self.a[:, None]), states[:, None])
 
     def _coords(self, states: np.ndarray) -> np.ndarray:
         """Eigen rows: W^-1 psi, refined once against the residual. W^-1 is
         only as accurate as eps * cond(W) allows, while the residual of a
         state the scorer meets is formed almost exactly."""
-        coords = _real_matvec(self.basis_inv, states)
-        return coords + _real_matvec(self.basis_inv, states - _real_matvec(self.basis, coords))
+        coords = _matvec(self.basis_inv, states)
+        return coords + _matvec(self.basis_inv, states - _matvec(self.basis, coords))
 
     def _partners(self, coords: np.ndarray) -> np.ndarray:
         """Eigen rows: each coordinate's pair partner."""
@@ -179,7 +170,7 @@ class Propagator:
     def from_coords(self, coords: np.ndarray) -> np.ndarray:
         """The states that the `to_coords` form holds (W y on eigen rows),
         for an (n, dim) stack or an (n, k, dim) one from `turn`."""
-        return self._by_path(lambda y: _real_matvec(self.basis, y), np.copy, coords)
+        return self._by_path(lambda y: _matvec(self.basis, y), np.copy, coords)
 
     def turn(self, coords: np.ndarray, tau) -> np.ndarray:
         """The `to_coords` form after a no-detection interval tau >= 0.
@@ -214,7 +205,7 @@ class Propagator:
 
         def on_eig(s, y):
             turns = np.expm1(taus * self.eigvals)
-            return s + _real_matvec(self.basis, self._turned(y, turns.real, turns.imag))
+            return s + _matvec(self.basis, self._turned(y, turns.real, turns.imag))
 
         return self._by_path(on_eig, lambda s, y: self._expm_evolve(s, taus)[:, 0], states, coords)
 
@@ -258,18 +249,15 @@ class Detector:
 
     def on_coords(self, coords: np.ndarray) -> np.ndarray:
         """C applied to the `to_coords` form of the propagator's stack."""
-        return self._propagator._by_path(lambda y: _real_matvec(self._in_basis, y), self.on_states, coords)
+        return self._propagator._by_path(lambda y: _matvec(self._in_basis, y), self.on_states, coords)
 
 
-def _block_eig(h: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def _block_eig(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The eigenvalues, real basis, inverse real basis and column partners
-    that `Propagator` keeps, found from A = -i*h in real arithmetic, each
-    connected block of h's nonzero pattern on its own, so basis and inverse
-    are exactly zero between blocks. LinAlgError where h has a real part (A
-    is then not real) or a block's basis has no inverse."""
-    if np.any(h.real):
-        raise np.linalg.LinAlgError("H has a real part")
-    a = h.imag
+    that `Propagator` keeps, found from the real A in real arithmetic, each
+    connected block of A's nonzero pattern on its own, so basis and inverse
+    are exactly zero between blocks. LinAlgError where a block's basis has
+    no inverse."""
     dim = len(a)
     link = ((a != 0) | (a.T != 0) | np.eye(dim, dtype=bool)).astype(float)
     reach = link
@@ -316,9 +304,10 @@ def _expm(a: np.ndarray) -> np.ndarray:
     matrix comes out the same alone or in any stack).
 
     The reference the eigen path is measured against and the fallback path's
-    evolution; the algorithm of scipy's expm, on numpy's BLAS (scipy's
-    bundled BLAS is slow beside it with default threads). Products and the
-    solve keep exact zeros between blocks that H does not connect.
+    evolution, exp(A*tau) in real arithmetic; the algorithm of scipy's expm,
+    on numpy's BLAS (scipy's bundled BLAS is slow beside it with default
+    threads). Products and the solve keep exact zeros between blocks that A
+    does not connect.
     """
     norms = np.abs(a).sum(axis=-2).max(axis=-1)
     s = np.array([max(0, math.ceil(math.log2(x / _PADE13_THETA))) if x > 0.0 else 0
@@ -341,13 +330,13 @@ def _expm(a: np.ndarray) -> np.ndarray:
     return r
 
 
-def _eig_error(h: np.ndarray, prop: Propagator) -> float:
+def _eig_error(a: np.ndarray, prop: Propagator) -> float:
     """Relative error of the eigen path, as the scorer runs it (coordinates,
     `turn`, back to states), on the states the scorer starts from: the
     ground vacuum (basis state 0) and that state after one decay time of the
     fastest mode, each evolved over that decay time and over the scorer's
-    renormalization chunk (100 of them), against `_expm(tau * A)`, which is
-    real as -i*H*tau = A*tau. Over the chunk, also on the share of the state
+    renormalization chunk (100 of them), against `_expm(tau * A)`, the
+    fallback's own evolution. Over the chunk, also on the share of the state
     each detection channel sees and renormalizes to: the excited atom, and
     the field weighted by sqrt(n) (basis index 2n + s); as g -> 0 the atom's
     share is O(g) and its error grows as 1/g. inf where the eigen form is
@@ -362,7 +351,6 @@ def _eig_error(h: np.ndarray, prop: Propagator) -> float:
     rate = -2.0 * float(mu.real.min())
     if not (math.isfinite(rate) and rate > 0.0):
         return math.inf
-    a = h.imag
     taus = (1.0 / rate, 100.0 / rate)
     exact = [_expm(tau * a) for tau in taus]
     probes = np.stack([exact[0][:, 0], np.eye(len(a))[0]])
@@ -387,18 +375,18 @@ def _eig_error(h: np.ndarray, prop: Propagator) -> float:
 
 
 def prepare_propagator(hamiltonian: EffectiveHamiltonian, method: str | None = None) -> Propagator:
-    """Diagonalize H for exact interval evolution; a stack of one candidate.
+    """Diagonalize A = -i*H for exact interval evolution; a stack of one.
 
-    The real eigenbasis (per connected block of H, in real arithmetic, as
-    H = i*A with A real, which holds for every coupling of this model) is
-    used when it evolves the scorer's states to within EIG_TOLERANCE
-    (relative) of a Pade exponential at the interval lengths the scorer runs
-    (see `_eig_error`) and keeps its exact zeros, so a forbidden event still
-    scores -inf. Otherwise the candidate evolves by a Pade exponential per
-    interval length, which needs no eigenbasis (a defective H, an H with a
-    real part) but costs a dense exponential per interval. `method` forces
-    one path (mainly for cross-checking the two against each other in
-    tests); a forced eigendecomposition that fails the check raises
+    H must be i*A with A real, as for every coupling of this model; an H
+    with a real part raises InvalidParametersError. The real eigenbasis of
+    A (per connected block) is used when it evolves the scorer's states to
+    within EIG_TOLERANCE (relative) of the real Pade exponential exp(A*tau)
+    at the interval lengths the scorer runs (see `_eig_error`) and keeps
+    its exact zeros, so a forbidden event still scores -inf. Otherwise the
+    candidate evolves by that exponential per interval length, which needs
+    no eigenbasis (a defective A) but costs a dense exponential per
+    interval. `method` forces one path (mainly for cross-checking the two
+    in tests); a forced eigendecomposition that fails the check raises
     NumericError.
     """
     h = np.asarray(hamiltonian.matrix)
@@ -406,25 +394,27 @@ def prepare_propagator(hamiltonian: EffectiveHamiltonian, method: str | None = N
         raise NumericError("effective Hamiltonian contains non-finite entries")
     if method not in (None, METHOD_EIG, METHOD_FALLBACK):
         raise InvalidParametersError(f"unknown propagator method: {method!r}")
-    dim = len(h)
+    if np.any(h.real):
+        raise InvalidParametersError("effective Hamiltonian must be i*A with A real; it has a real part")
+    a = h.imag
+    dim = len(a)
     no_eig = (np.empty((0, dim), dtype=complex), np.empty((0, dim, dim)),
               np.empty((0, dim, dim)), np.empty((0, dim), dtype=int))  # no rows on the eigen path
     if method != METHOD_FALLBACK:
         try:
-            parts = _block_eig(h)
+            parts = _block_eig(a)
         except np.linalg.LinAlgError:
             error = math.inf
         else:
-            prop = Propagator(np.ones(1, dtype=bool), *(x[None] for x in parts),
-                              np.empty((0, dim, dim), dtype=complex))
-            error = _eig_error(h, prop)
+            prop = Propagator(np.ones(1, dtype=bool), *(x[None] for x in parts), np.empty((0, dim, dim)))
+            error = _eig_error(a, prop)
         if error <= EIG_TOLERANCE:
             return prop
         if method == METHOD_EIG:
             raise NumericError(
                 f"eigendecomposition requested but unusable: off a Pade exponential by {error:.3g} (relative)"
             )
-    return Propagator(np.zeros(1, dtype=bool), *no_eig, h[None].copy())
+    return Propagator(np.zeros(1, dtype=bool), *no_eig, a[None].copy())
 
 
 def max_total_decay_rate(model: Model) -> float:
@@ -443,10 +433,10 @@ def _survival(propagator: Propagator, coords: np.ndarray, tau):
     interval lengths."""
     amps = propagator.from_coords(propagator.turn(coords, tau))[0]
     if amps.ndim == 1:
-        s = float(np.vdot(amps, amps).real)
+        s = float(np.vdot(amps, amps))
         finite = math.isfinite(s)
     else:
-        s = np.einsum("kd,kd->k", amps.conj(), amps).real
+        s = np.einsum("kd,kd->k", amps, amps)
         finite = np.all(np.isfinite(s))
     if not finite:
         raise NumericError(f"survival evaluation non-finite at tau={tau}")
@@ -563,29 +553,14 @@ class ClassicalRecord:
         )
 
 
-def _normalized_initial(model: Model, initial_state: np.ndarray | None) -> np.ndarray:
-    if initial_state is None:
-        return ground_vacuum(model)
-    psi = np.asarray(initial_state, dtype=complex).copy()
-    if psi.shape != (model.dim,):
-        raise InvalidParametersError(
-            f"initial state must have shape ({model.dim},), got {psi.shape}"
-        )
-    n2 = float(np.vdot(psi, psi).real)
-    if not math.isfinite(n2) or n2 <= 0.0:
-        raise InvalidParametersError("initial state must be normalizable")
-    return psi / math.sqrt(n2)
-
-
 def simulate_record(
     model: Model,
     g_true: float,
     t0: float,
     tf: float,
     seed: int,
-    initial_state: np.ndarray | None = None,
 ) -> ClassicalRecord:
-    """Generate one quantum-jump photodetection record.
+    """Generate one quantum-jump photodetection record from the ground vacuum.
 
     Standard quantum-jump sampling with exact interval evolution: draw a
     survival target r ~ U(0,1), find the time where the no-detection squared
@@ -598,9 +573,7 @@ def simulate_record(
         raise InvalidParametersError(f"need tf > t0, got [{t0}, {tf}]")
     if seed < 0:
         raise InvalidParametersError(f"seed must be >= 0, got {seed}")
-    psi = _normalized_initial(model, initial_state)
-    if not np.any(psi.imag):
-        psi = psi.real  # A and both collapse operators are real, so psi stays real
+    psi = ground_vacuum(model).real  # A and both collapse operators are real, so psi stays real
     propagator = prepare_propagator(effective_hamiltonian(model, g_true))
     detectors = (Detector(propagator, model.c0), Detector(propagator, model.c1))
     rng = np.random.default_rng(seed)
@@ -621,7 +594,7 @@ def simulate_record(
         tau_star = _locate_jump_time(propagator, coords, r, remaining, step)
         psi_star = propagator.from_coords(propagator.turn(coords, tau_star))
         jumped = [detector.on_states(psi_star)[0] for detector in detectors]
-        w0, w1 = weights = [float(np.vdot(x, x).real) for x in jumped]
+        w0, w1 = weights = [float(np.vdot(x, x)) for x in jumped]
         w_sum = w0 + w1
         if not math.isfinite(w_sum) or w_sum <= 0.0:
             raise NumericError(
@@ -648,7 +621,7 @@ def simulate_record(
             "epsilon_mhz": p.epsilon,
             "n_trunc": p.n_trunc,
         },
-        "initial_state": "ground-vacuum" if initial_state is None else "custom",
+        "initial_state": "ground-vacuum",
     }
     record = ClassicalRecord(
         t0=float(t0), tf=float(tf),

@@ -125,9 +125,7 @@ def posterior(loglik: np.ndarray) -> np.ndarray:
 
 
 def _row_norms_sq(states: np.ndarray) -> np.ndarray:
-    if not np.iscomplexobj(states):
-        return np.einsum("gd,gd->g", states, states)
-    return np.einsum("gd,gd->g", states.conj(), states).real
+    return np.einsum("gd,gd->g", states, states)
 
 
 def _prepare(model: Model, values) -> tuple[Propagator, tuple[Detector, Detector]]:

@@ -121,6 +121,8 @@ def steady_state(
     """
     if not (math.isfinite(tol) and tol > 0.0):
         raise InvalidParametersError(f"tol must be > 0, got {tol}")
+    if not (math.isfinite(max_time) and max_time > 0.0):
+        raise InvalidParametersError(f"max_time must be > 0, got {max_time}")
     p = model.params
     rate_scale = 2.0 * TWO_PI * p.kappa + 2.0 * TWO_PI * p.gamma_perp
     threshold = _STEADY_SAFETY * tol * rate_scale

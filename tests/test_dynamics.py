@@ -28,7 +28,7 @@ from qsysid import (
     simulate_record,
 )
 
-from qsysid.dynamics import EIG_TOLERANCE, Detector, _expm
+from qsysid.dynamics import EIG_TOLERANCE, Detector, _expm, _locate_jump_time
 
 from conftest import forced_path
 from oracles import direct_log_density, empty_cavity_expected_counts
@@ -128,11 +128,11 @@ def test_path_check_reference_matches_scipy_expm(cavity_model, g, tau):
 
 
 def test_defective_hamiltonian_falls_back():
-    # a Jordan block has no eigenbasis; the fallback needs none
-    jordan = EffectiveHamiltonian(matrix=np.array([[0, 1], [0, 0]], dtype=complex), g=0.0)
+    # A = -i*H is a Jordan block, which has no eigenbasis; the fallback needs none
+    jordan = EffectiveHamiltonian(matrix=np.array([[0, 1j], [0, 0]]), g=0.0)
     prop = prepare_propagator(jordan)
     assert prop.method == METHOD_FALLBACK
-    np.testing.assert_allclose(prop.evolve(np.array([[0.0, 1.0]]), 0.5)[0], [-0.5j, 1.0], atol=1e-12)
+    np.testing.assert_allclose(prop.evolve(np.array([[0.0, 1.0]]), 0.5)[0], [0.5, 1.0], atol=1e-12)
     with pytest.raises(NumericError):
         prepare_propagator(jordan, METHOD_EIG)
 
@@ -148,17 +148,13 @@ def test_vanishing_coupling_scores_like_dense_oracle(small_model, g):
     assert log_likelihood(small_model, record, g) == pytest.approx(want, rel=1e-9, abs=1e-9)
 
 
-def test_hamiltonian_with_a_real_part_takes_the_ladder(small_model, rng):
-    # the eigen path works on H = i*A with A real, as every coupling of the
-    # model gives; a detuning term would add a real part
+def test_hamiltonian_with_a_real_part_is_rejected(small_model):
+    # both paths work on the real A = -i*H, as every coupling of the model
+    # gives; a detuning term would add a real part
     h = effective_hamiltonian(small_model, 2.0).matrix + np.diag(np.arange(small_model.dim, dtype=float))
-    ham = EffectiveHamiltonian(matrix=h, g=2.0)
-    prop = prepare_propagator(ham)
-    assert prop.method == METHOD_FALLBACK
-    psi = random_state(rng, small_model.dim)
-    np.testing.assert_allclose(prop.evolve(psi[None], 0.3)[0], expm(-0.3j * h) @ psi, atol=1e-11)
-    with pytest.raises(NumericError):
-        prepare_propagator(ham, METHOD_EIG)
+    for method in (None, METHOD_EIG, METHOD_FALLBACK):
+        with pytest.raises(InvalidParametersError, match="real part"):
+            prepare_propagator(EffectiveHamiltonian(matrix=h, g=2.0), method)
 
 
 @pytest.mark.parametrize("g", [0.0, 2.0])
@@ -436,22 +432,21 @@ def test_simulate_rejects_negative_seed(small_model):
 @pytest.mark.parametrize("seed", [101, 202, 303])
 def test_jump_time_inverts_survival_curve(seed):
     # one photon, no drive, no coupling, no atomic decay: survival is
-    # exp(-2*kappa*tau), so the sampled jump time must be -ln(r)/(2*kappa)
+    # exp(-2*kappa*tau), so the jump-time search must find -ln(r)/(2*kappa)
     # for the first uniform draw r of the seeded generator, on either path.
     kappa = 1.3
     model = build_model(ModelParams(g0=1.0, gamma_perp=0.0, kappa=kappa, epsilon=0.0, n_trunc=2))
-    psi = np.zeros(model.dim, dtype=complex)
-    psi[basis_index(1, 0)] = 1.0
+    psi = np.zeros((1, model.dim))
+    psi[0, basis_index(1, 0)] = 1.0
     r = np.random.default_rng(seed).random()
     assert r != 0.0
     expected = -math.log(r) / (2.0 * TWO_PI * kappa)
+    step = 0.25 / max_total_decay_rate(model)
     for method in (METHOD_EIG, METHOD_FALLBACK):
-        with forced_path(method) as built:
-            record = simulate_record(model, g_true=0.0, t0=0.0, tf=50.0, seed=seed, initial_state=psi)
-        assert [p.method for p in built] == [method]
-        assert record.n_events == 1
-        assert record.channels[0] == CHANNEL_CAVITY
-        assert record.times[0] == pytest.approx(expected, abs=1e-8)
+        prop = prepare_propagator(effective_hamiltonian(model, 0.0), method)
+        assert prop.method == method
+        tau = _locate_jump_time(prop, prop.to_coords(psi), r, 50.0, step)
+        assert tau == pytest.approx(expected, abs=1e-8)
 
 
 # A record's bytes at fixed seeds. A change meant to move them (another

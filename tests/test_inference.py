@@ -204,9 +204,11 @@ def test_default_grid_matches_chunked_oracle_at_largest_truncation():
             assert got == pytest.approx(want, rel=1e-9, abs=1e-9), g
 
 
-def test_surface_matches_scalar_likelihood(small_model):
+# the second grid's first candidate falls back (`_eig_error`'s vanishing
+# coupling): a candidate scores the same bits whatever else is on its grid
+@pytest.mark.parametrize("grid", [GGrid(1.0, 5.0, 1.0), GGrid(1e-9, 5.0, 1.0)], ids=["eigen", "mixed"])
+def test_surface_matches_scalar_likelihood(small_model, grid):
     record = simulate_record(small_model, 3.0, 0.0, 1.0, seed=21)
-    grid = GGrid(1.0, 5.0, 1.0)
     surf = likelihood_surface(small_model, record, grid)
     assert surf.loglik.shape == (grid.n,)
     assert surf.n_events == record.n_events

@@ -110,6 +110,9 @@ def test_steady_state_convergence_failure(coupled_model):
         steady_state(coupled_model, 3.0, max_time=0.25)
     with pytest.raises(InvalidParametersError):
         steady_state(coupled_model, 3.0, tol=0.0)
+    for max_time in (0.0, -1.0, math.nan):
+        with pytest.raises(InvalidParametersError, match="max_time"):
+            steady_state(coupled_model, 3.0, max_time=max_time)
 
 
 def test_expectations_match_direct_traces(coupled_model):
