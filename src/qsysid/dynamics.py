@@ -19,9 +19,10 @@ The simulator and the scorer in `inference` run the same arithmetic, the
 simulator on a stack of one, the scorer on the whole grid: states held in
 coordinates (`to_coords`), turned through each interval (`turn`), and
 collapsed by `Detector`. The simulator locates jump times by inverting the
-squared-norm survival curve of `from_coords(turn(...))` with a bracketing
-pass, many interval lengths per `turn`, plus bisection, so records carry no
-time-step discretization error beyond the bisection width.
+squared-norm survival curve of `from_coords(turn(...))`: a bracket that
+starts at the segment's expected waiting time (from its detection rate)
+and doubles, then bisection, so records carry no time-step discretization
+error beyond the bisection width.
 """
 
 from __future__ import annotations
@@ -43,7 +44,6 @@ from .model import (
 
 EIG_TOLERANCE = 1e-10         # eigen-path error on the scorer's states, relative
 JUMP_TIME_TOL = 1e-9          # bisection window for jump times, us
-_BRACKET_BATCH = 32           # survival samples evaluated per vectorized batch
 _MAX_BISECT = 200
 
 METHOD_EIG = "eigendecomposition"
@@ -54,11 +54,7 @@ CHANNEL_CAVITY = 1
 
 
 def _matvec(matrices: np.ndarray, vectors: np.ndarray) -> np.ndarray:
-    """Row-wise matrix-vector products of an (..., d, d) and an (..., d)
-    stack, or of an (n, d, d) and an (n, k, d) stack, whose k vectors per
-    row share that row's matrix."""
-    if vectors.ndim == matrices.ndim:
-        return np.matmul(vectors, matrices.swapaxes(1, 2))
+    """Row-wise matrix-vector products of an (n, d, d) and an (n, d) stack."""
     return np.matmul(matrices, vectors[..., None])[..., 0]
 
 
@@ -88,9 +84,9 @@ class Propagator:
     The scorer in `inference` and the simulator both hold their states in
     the form `to_coords` gives (y on eigen rows, psi on the others) and move
     them with `turn` and `Detector`; the scorer also uses `step`, the
-    simulator `turn` at many interval lengths at once for its survival
-    search. `evolve` composes `to_coords`, `turn` and `from_coords` to map
-    states to states.
+    simulator `turn` to each interval length its survival search tries.
+    `evolve` composes `to_coords`, `turn` and `from_coords` to map states to
+    states.
     """
 
     def __init__(self, eig, eigvals, basis, basis_inv, partner, a):
@@ -141,9 +137,9 @@ class Propagator:
         out[~self.eig] = fallback_part
         return out
 
-    def _expm_evolve(self, states: np.ndarray, taus: np.ndarray) -> np.ndarray:
-        """Fallback rows, to each tau: a Pade exponential per row and tau."""
-        return _matvec(_expm(taus.reshape(-1)[None, :, None, None] * self.a[:, None]), states[:, None])
+    def _expm_evolve(self, states: np.ndarray, tau: float) -> np.ndarray:
+        """Fallback rows, to tau: a Pade exponential per row."""
+        return _matvec(_expm(tau * self.a), states)
 
     def _coords(self, states: np.ndarray) -> np.ndarray:
         """Eigen rows: W^-1 psi, refined once against the residual. W^-1 is
@@ -168,31 +164,17 @@ class Propagator:
         return self._by_path(self._coords, np.copy, states)
 
     def from_coords(self, coords: np.ndarray) -> np.ndarray:
-        """The states that the `to_coords` form holds (W y on eigen rows),
-        for an (n, dim) stack or an (n, k, dim) one from `turn`."""
+        """The states that the `to_coords` form holds (W y on eigen rows)."""
         return self._by_path(lambda y: _matvec(self.basis, y), np.copy, coords)
 
-    def turn(self, coords: np.ndarray, tau) -> np.ndarray:
-        """The `to_coords` form after a no-detection interval tau >= 0.
-
-        A scalar tau gives (n, dim); a 1-d array of k interval lengths gives
-        (n, k, dim), row i turned from coords[i] to each of them.
-        """
-        taus = np.asarray(tau, dtype=float)
+    def turn(self, coords: np.ndarray, tau: float) -> np.ndarray:
+        """The (n, dim) `to_coords` form after a no-detection interval tau >= 0."""
 
         def on_eig(y):
-            if taus.ndim:  # one row of turns per interval length
-                turns = np.take(np.exp(taus[:, None] * self._first_rates), self._first_of, axis=1)
-                turns = turns.reshape(len(taus), *y.shape)
-                return self._turned(y, turns.real, turns.imag * self._imag_sign).swapaxes(0, 1)
-            turns = np.exp(taus * self._first_rates)[self._first_of].reshape(y.shape)
+            turns = np.exp(tau * self._first_rates)[self._first_of].reshape(y.shape)
             return self._turned(y, turns.real, turns.imag * self._imag_sign)
 
-        def on_fallback(states):
-            out = self._expm_evolve(states, taus)
-            return out if taus.ndim else out[:, 0]
-
-        return self._by_path(on_eig, on_fallback, coords)
+        return self._by_path(on_eig, lambda s: self._expm_evolve(s, tau), coords)
 
     def step(self, states: np.ndarray, coords: np.ndarray, tau: float) -> np.ndarray:
         """The states after an interval tau from `states`, whose `to_coords`
@@ -201,13 +183,12 @@ class Propagator:
         atomic detection) comes out accurate relative to itself, not to psi.
         Meant for intervals too short for any share to decay far, where the
         change is no larger than psi."""
-        taus = np.asarray(tau, dtype=float)
 
         def on_eig(s, y):
-            turns = np.expm1(taus * self.eigvals)
+            turns = np.expm1(tau * self.eigvals)
             return s + _matvec(self.basis, self._turned(y, turns.real, turns.imag))
 
-        return self._by_path(on_eig, lambda s, y: self._expm_evolve(s, taus)[:, 0], states, coords)
+        return self._by_path(on_eig, lambda s, y: self._expm_evolve(s, tau), states, coords)
 
     def evolve(self, states: np.ndarray, tau: float) -> np.ndarray:
         """Evolve an (n, dim) state stack through a no-detection interval,
@@ -417,6 +398,12 @@ def prepare_propagator(hamiltonian: EffectiveHamiltonian, method: str | None = N
     return Propagator(np.zeros(1, dtype=bool), *no_eig, a[None].copy())
 
 
+def _check_window(t0: float, tf: float) -> None:
+    """InvalidParametersError unless the window [t0, tf] is finite with tf > t0."""
+    if not (math.isfinite(t0) and math.isfinite(tf)) or not tf > t0:
+        raise InvalidParametersError(f"need tf > t0, got [{t0}, {tf}]")
+
+
 def max_total_decay_rate(model: Model) -> float:
     """Largest eigenvalue of c0^dag c0 + c1^dag c1 on the truncated space (rad/us).
 
@@ -427,52 +414,26 @@ def max_total_decay_rate(model: Model) -> float:
     return 2.0 * TWO_PI * p.kappa * p.n_trunc + 2.0 * TWO_PI * p.gamma_perp
 
 
-def _survival(propagator: Propagator, coords: np.ndarray, tau):
-    """Squared no-detection norm of a single-candidate segment, whose start
-    is held in the `to_coords` form, at tau, or at each of a 1-d array of
-    interval lengths."""
+def _survival(propagator: Propagator, coords: np.ndarray, tau: float) -> float:
+    """Squared no-detection norm at tau of a single-candidate segment whose
+    start is held in the `to_coords` form."""
     amps = propagator.from_coords(propagator.turn(coords, tau))[0]
-    if amps.ndim == 1:
-        s = float(np.vdot(amps, amps))
-        finite = math.isfinite(s)
-    else:
-        s = np.einsum("kd,kd->k", amps, amps)
-        finite = np.all(np.isfinite(s))
-    if not finite:
+    s = float(np.vdot(amps, amps))
+    if not math.isfinite(s):
         raise NumericError(f"survival evaluation non-finite at tau={tau}")
     return s
 
 
 def _locate_jump_time(
-    propagator: Propagator, coords: np.ndarray, target: float, remaining: float, step: float
+    propagator: Propagator, coords: np.ndarray, target: float, remaining: float, guess: float
 ) -> float:
-    """First time where the squared-norm survival drops below target.
-
-    Caller guarantees survival(remaining) < target <= 1. Brackets on a step
-    grid (vectorized in batches), then bisects to JUMP_TIME_TOL.
-    """
-    lo = 0.0
-    hi = None
-    while hi is None:
-        grid = lo + step * np.arange(1, _BRACKET_BATCH + 1)
-        last_batch = grid[-1] >= remaining
-        if last_batch:
-            grid = np.concatenate([grid[grid < remaining], [remaining]])
-        s = _survival(propagator, coords, grid)
-        below = s < target
-        idx = int(np.argmax(below))
-        if below[idx]:
-            hi = float(grid[idx])
-            if idx > 0:
-                lo = float(grid[idx - 1])
-        elif last_batch:
-            raise NumericError(
-                "survival bracketing failed: no crossing found although the "
-                f"window endpoint is below target (target={target:.6g}, "
-                f"remaining={remaining:.6g}, survival floor={s[-1]:.6g})"
-            )
-        else:
-            lo = float(grid[-1])
+    """First time where the squared-norm survival drops below target, which
+    the caller has checked it does by `remaining`: a bracket from a guess
+    > 0, doubled until survival falls below target or the bracket reaches
+    `remaining`, then bisection to JUMP_TIME_TOL."""
+    lo, hi = 0.0, min(guess, remaining)
+    while hi < remaining and _survival(propagator, coords, hi) >= target:
+        lo, hi = hi, min(2.0 * hi, remaining)
     for _ in range(_MAX_BISECT):
         if hi - lo <= JUMP_TIME_TOL:
             break
@@ -564,20 +525,20 @@ def simulate_record(
 
     Standard quantum-jump sampling with exact interval evolution: draw a
     survival target r ~ U(0,1), find the time where the no-detection squared
-    norm crosses r (bracket + bisection), pick the emission channel with
-    probability proportional to ||c_j psi||^2, collapse, renormalize, repeat
-    until the survival target outlives the window. Deterministic given
-    (model params, g_true, window, seed).
+    norm crosses r (a bracket from -log(r) over the state's detection rate
+    ||c0 psi||^2 + ||c1 psi||^2, doubled until it holds the crossing, then
+    bisection), pick the emission channel with probability proportional to
+    ||c_j psi||^2, collapse, renormalize, repeat until the survival target
+    outlives the window. Deterministic given (model params, g_true, window,
+    seed).
     """
-    if not (math.isfinite(t0) and math.isfinite(tf)) or not tf > t0:
-        raise InvalidParametersError(f"need tf > t0, got [{t0}, {tf}]")
+    _check_window(t0, tf)
     if seed < 0:
         raise InvalidParametersError(f"seed must be >= 0, got {seed}")
     psi = ground_vacuum(model).real  # A and both collapse operators are real, so psi stays real
     propagator = prepare_propagator(effective_hamiltonian(model, g_true))
     detectors = (Detector(propagator, model.c0), Detector(propagator, model.c1))
     rng = np.random.default_rng(seed)
-    step = min(0.25 / max_total_decay_rate(model), (tf - t0) / 10.0)
     times: list[float] = []
     channels: list[int] = []
     t = t0
@@ -591,7 +552,12 @@ def simulate_record(
         coords = propagator.to_coords(psi[None])  # once per inter-jump segment
         if _survival(propagator, coords, remaining) >= r:
             break
-        tau_star = _locate_jump_time(propagator, coords, r, remaining, step)
+        # the waiting time to r at the segment's starting detection rate, down
+        # to a power of two: then the bracket and every bisection midpoint are
+        # the same on both paths, not moved by the last bits of psi
+        rate = sum(float(np.vdot(x, x)) for x in (d.on_states(psi[None]) for d in detectors))
+        guess = math.ldexp(0.5, math.frexp(-math.log(r) / rate)[1]) if rate > 0.0 else remaining
+        tau_star = _locate_jump_time(propagator, coords, r, remaining, guess)
         psi_star = propagator.from_coords(propagator.turn(coords, tau_star))
         jumped = [detector.on_states(psi_star)[0] for detector in detectors]
         w0, w1 = weights = [float(np.vdot(x, x)) for x in jumped]

@@ -8,9 +8,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import simulate_record
+from .dynamics import _check_window, simulate_record
 from .errors import InvalidParametersError, QsysidError, StatisticsError
-from .inference import Estimate, GGrid, _prepare_grid, estimate_time_series
+from .inference import Estimate, GGrid, _check_cut_times, _prepare_grid, estimate_time_series
 from .model import Model, ModelParams
 
 DEFAULT_N_CHECKPOINTS = 20
@@ -73,13 +73,15 @@ def run_ensemble(
 
     Trajectories are independent jobs with seeds derived from master_seed,
     so the result does not depend on execution order; failed trajectories
-    are recorded and skipped rather than aborting the run.
+    are recorded and skipped rather than aborting the run. A bad window or
+    checkpoint list raises InvalidParametersError before any simulation.
     """
     if n_traj < 1:
         raise InvalidParametersError(f"n_traj must be >= 1, got {n_traj}")
+    _check_window(t0, tf)
     if checkpoints is None:
         checkpoints = default_checkpoints(t0, tf)
-    checkpoints = tuple(float(t) for t in checkpoints)
+    checkpoints = tuple(_check_cut_times(checkpoints, t0, tf).tolist())
     seeds = tuple(trajectory_seed(master_seed, i) for i in range(n_traj))
     estimates: list[tuple[Estimate, ...] | None] = []
     event_counts: list[int | None] = []

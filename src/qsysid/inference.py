@@ -165,6 +165,17 @@ def _renormalize(coords: np.ndarray, loglik: np.ndarray, alive: np.ndarray, n2: 
         coords[alive] /= np.sqrt(n2[alive])[:, None]
 
 
+def _check_cut_times(times, t0: float, tf: float) -> np.ndarray:
+    """The cut times as floats; InvalidParametersError unless they are
+    finite, ascending and within [t0, tf]."""
+    times = np.asarray(times, dtype=float)
+    if times.size and (
+        not np.all(np.isfinite(times)) or np.any(np.diff(times) < 0) or times[0] < t0 or times[-1] > tf
+    ):
+        raise InvalidParametersError("cut times must be finite, ascending and within the record window")
+    return times
+
+
 def _score_record(
     model: Model,
     prop: Propagator,
@@ -199,16 +210,7 @@ def _score_record(
     scoring the record that ends there.
     """
     record.validate()
-    times = np.asarray(times, dtype=float)
-    if times.size and (
-        not np.all(np.isfinite(times))
-        or np.any(np.diff(times) < 0)
-        or times[0] < record.t0
-        or times[-1] > record.tf
-    ):
-        raise InvalidParametersError(
-            "cut times must be finite, ascending and within the record window"
-        )
+    times = _check_cut_times(times, record.t0, record.tf)
     decay = max_total_decay_rate(model)
     chunk = _RENORM_LOG_BUDGET / decay
     n_g = len(prop.eig)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import qsysid.dynamics
+import qsysid.ensemble
 import qsysid.inference
 from qsysid import (
     GGrid,
@@ -97,6 +98,18 @@ def test_run_ensemble_rejects_bad_trajectory_count(tiny_ensemble):
     model = build_model(ModelParams(g0=6.0, gamma_perp=0.8, kappa=1.5, epsilon=2.0, n_trunc=6))
     with pytest.raises(InvalidParametersError):
         run_ensemble(model, 3.0, GGrid(1.0, 5.0, 1.0), n_traj=0, t0=0.0, tf=1.0)
+
+
+@pytest.mark.parametrize(
+    "tf, checkpoints",
+    [(1.0, (0.5, 2.0)), (1.0, (0.5, 0.2)), (1.0, (float("nan"),)), (0.0, None), (0.0, (0.0,))],
+)
+def test_run_ensemble_rejects_bad_window_or_checkpoints_before_simulating(monkeypatch, tf, checkpoints):
+    # a bad argument is the caller's error, not n_traj failed trajectories
+    model = build_model(ModelParams(g0=6.0, gamma_perp=0.8, kappa=1.5, epsilon=2.0, n_trunc=6))
+    monkeypatch.setattr(qsysid.ensemble, "simulate_record", lambda *args: pytest.fail("simulated"))
+    with pytest.raises(InvalidParametersError):
+        run_ensemble(model, 3.0, GGrid(1.0, 5.0, 1.0), n_traj=3, t0=0.0, tf=tf, checkpoints=checkpoints)
 
 
 def test_summarize_matches_manual_reduction(tiny_ensemble):
