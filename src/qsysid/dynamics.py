@@ -40,6 +40,7 @@ from .model import (
     Model,
     effective_hamiltonian,
     ground_vacuum,
+    shift_form,
 )
 
 EIG_TOLERANCE = 1e-10         # eigen-path error on the scorer's states, relative
@@ -210,11 +211,7 @@ class Detector:
     be formed."""
 
     def __init__(self, propagator: Propagator, collapse: np.ndarray):
-        c = np.asarray(collapse).real
-        self._source = np.argmax(c != 0, axis=1)
-        self._scale = c[np.arange(len(c)), self._source]
-        if np.count_nonzero(c) != np.count_nonzero(self._scale):
-            raise InvalidParametersError("a collapse operator must have at most one nonzero per row")
+        self._source, self._scale = shift_form(collapse)
         self._in_basis = np.empty_like(propagator.basis)
         # row by row, so that no temporary is the size of the whole stack
         for w, w_inv, m in zip(propagator.basis, propagator.basis_inv, self._in_basis):
@@ -375,9 +372,7 @@ def prepare_propagator(hamiltonian: EffectiveHamiltonian, method: str | None = N
         raise NumericError("effective Hamiltonian contains non-finite entries")
     if method not in (None, METHOD_EIG, METHOD_FALLBACK):
         raise InvalidParametersError(f"unknown propagator method: {method!r}")
-    if np.any(h.real):
-        raise InvalidParametersError("effective Hamiltonian must be i*A with A real; it has a real part")
-    a = h.imag
+    a = hamiltonian.real_generator()
     dim = len(a)
     no_eig = (np.empty((0, dim), dtype=complex), np.empty((0, dim, dim)),
               np.empty((0, dim, dim)), np.empty((0, dim), dtype=int))  # no rows on the eigen path

@@ -4,6 +4,11 @@ drho/dt = -i*(H rho - rho H^dag) + c0 rho c0^dag + c1 rho c1^dag with the
 non-Hermitian H from the model; averaging quantum-jump trajectories must
 reproduce this evolution, which is what makes the integrator a validation
 oracle for the simulator.
+
+H = i*A with A real, and both collapse operators are real index shifts, so
+for a Hermitian rho the right side is X + X^dag with X = A rho, plus each
+C rho C^T as a shift and scale. Every state the package makes is real; a
+complex Hermitian rho0 runs the same code in complex arithmetic.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, InvalidParametersError, StepSizeError
-from .model import TWO_PI, Model, effective_hamiltonian, ground_vacuum
+from .model import TWO_PI, Model, effective_hamiltonian, ground_vacuum, shift_form
 
 DT_DEFAULT = 1e-4            # us; keeps RK4 stable up to the top Fock level
 STEADY_TOL_DEFAULT = 1e-10
@@ -34,25 +39,24 @@ class MasterState:
 
 
 def ground_vacuum_density(model: Model) -> MasterState:
-    """Density matrix of the ground atom in the cavity vacuum at t=0."""
-    psi = ground_vacuum(model)
-    return MasterState(rho=np.outer(psi, psi.conj()), time=0.0)
+    """Density matrix of the ground atom in the cavity vacuum at t=0 (real)."""
+    psi = ground_vacuum(model).real
+    return MasterState(rho=np.outer(psi, psi), time=0.0)
 
 
 def _rhs_factory(model: Model, g: float):
-    h = effective_hamiltonian(model, g).matrix
-    h_dag = h.conj().T
-    c0 = model.c0
-    c1 = model.c1
-    c0_dag = c0.conj().T
-    c1_dag = c1.conj().T
+    a = effective_hamiltonian(model, g).real_generator()
+    # (C rho C^T)[i, j] = scale[i] * scale[j] * rho[source[i], source[j]]
+    shifts = [(src[:, None] * model.dim + src, np.outer(scale, scale))
+              for src, scale in map(shift_form, (model.c0, model.c1))]
 
     def rhs(rho: np.ndarray) -> np.ndarray:
-        return (
-            -1j * (h @ rho - rho @ h_dag)
-            + c0 @ rho @ c0_dag
-            + c1 @ rho @ c1_dag
-        )
+        """L(rho) = A rho + (A rho)^dag + sum_j C_j rho C_j^T for Hermitian rho."""
+        x = a @ rho
+        out = x + x.conj().T
+        for flat_source, scales in shifts:
+            out += rho.take(flat_source) * scales
+        return out
 
     return rhs
 
@@ -66,26 +70,29 @@ def integrate_master(
 ) -> MasterState:
     """Fixed-step classical RK4 integration over `duration` (us).
 
-    Each step is followed by Hermitian symmetrization and trace
-    renormalization; the accumulated renormalization is tracked, and a drift
-    rate above 1e-8 per us raises StepSizeError (the step is too coarse for
-    the requested system).
+    rho0 must be a finite Hermitian (dim, dim) matrix, else
+    InvalidParametersError; a real one stays real. Each step is followed by
+    Hermitian symmetrization and trace renormalization; the accumulated
+    renormalization is tracked, and a drift rate above 1e-8 per us raises
+    StepSizeError (the step is too coarse for the requested system).
     """
     if not (math.isfinite(duration) and duration >= 0.0):
         raise InvalidParametersError(f"duration must be >= 0, got {duration}")
     if not (math.isfinite(dt) and dt > 0.0):
         raise InvalidParametersError(f"dt must be > 0, got {dt}")
-    rho = np.asarray(rho0.rho, dtype=complex).copy()
+    rho = 1.0 * np.asarray(rho0.rho)  # a float or complex copy
+    if rho.shape != (model.dim, model.dim) or not np.all(np.isfinite(rho)):
+        raise InvalidParametersError(f"rho0 must be a finite {model.dim}x{model.dim} matrix")
+    if np.abs(rho - rho.conj().T).max() > 1e-12 * np.abs(rho).max():
+        raise InvalidParametersError("rho0 must be Hermitian")
     if duration == 0.0:
         return MasterState(rho=rho, time=rho0.time)
     rhs = _rhs_factory(model, g)
     n_full = int(math.floor(duration / dt + 1e-12))
     remainder = duration - n_full * dt
-    steps = [dt] * n_full
-    if remainder > 1e-15:
-        steps.append(remainder)
     drift = 0.0
-    for h_step in steps:
+    for k in range(n_full + (remainder > 1e-15)):
+        h_step = dt if k < n_full else remainder
         k1 = rhs(rho)
         k2 = rhs(rho + (0.5 * h_step) * k1)
         k3 = rhs(rho + (0.5 * h_step) * k2)

@@ -89,6 +89,18 @@ def build_model(params: ModelParams) -> Model:
     return Model(params=params, dim=dim, op_a=op_a, op_sigma_minus=op_sm, c0=c0, c1=c1)
 
 
+def shift_form(collapse: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(source, scale) with (C x)[i] = scale[i] * x[source[i]], for a real C
+    with at most one nonzero per row (an index shift and scale, as both of
+    the model's collapse operators are); any other C is invalid."""
+    c = np.asarray(collapse)
+    source = np.argmax(c != 0, axis=1)
+    scale = c.real[np.arange(len(c)), source]
+    if np.any(c.imag) or np.count_nonzero(c) != np.count_nonzero(scale):
+        raise InvalidParametersError("a collapse operator must be real with at most one nonzero per row")
+    return source, scale
+
+
 def ground_vacuum(model: Model) -> np.ndarray:
     """Amplitudes of the ground atom in the cavity vacuum (basis index 0)."""
     psi = np.zeros(model.dim, dtype=complex)
@@ -102,6 +114,12 @@ class EffectiveHamiltonian:
 
     matrix: np.ndarray
     g: float
+
+    def real_generator(self) -> np.ndarray:
+        """The real A = -i*H of this model's H = i*A; an H with a real part is invalid."""
+        if np.any(self.matrix.real):
+            raise InvalidParametersError("effective Hamiltonian must be i*A with A real; it has a real part")
+        return self.matrix.imag
 
 
 def effective_hamiltonian(model: Model, g: float) -> EffectiveHamiltonian:

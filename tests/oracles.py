@@ -1,9 +1,10 @@
 """Independent brute-force references used by the tests.
 
 Everything here deliberately avoids the library's fast paths: evolution goes
-through scipy's expm on dense matrices and the record density is a plain
-operator-product trace, so agreement with the streaming implementation is
-meaningful.
+through scipy's expm on dense matrices, the record density is a plain
+operator-product trace, and the master equation is the dense complex
+Liouvillian or its sparse superoperator, so agreement with the streaming and
+real-arithmetic implementations is meaningful.
 """
 
 from __future__ import annotations
@@ -130,6 +131,54 @@ def random_toy_instance(rng: np.random.Generator):
     channels = rng.integers(0, 2, size=n_events)
     record = ClassicalRecord(t0=0.0, tf=1.0, times=times, channels=channels)
     return model, record, g
+
+
+def random_hermitian(rng: np.random.Generator, dim: int, real: bool) -> np.ndarray:
+    """A random Hermitian matrix with O(1) entries, real symmetric if `real`."""
+    x = rng.standard_normal((dim, dim))
+    if not real:
+        x = x + 1j * rng.standard_normal((dim, dim))
+    return 0.5 * (x + x.conj().T)
+
+
+def complex_liouvillian(model: Model, g: float):
+    """drho/dt as a function of rho, by the dense complex formula
+    -i*(H rho - rho H^dag) + sum_j c_j rho c_j^dag."""
+    h = effective_hamiltonian(model, g).matrix
+    h_dag = h.conj().T
+    c0, c1 = model.c0, model.c1
+    c0d, c1d = c0.conj().T, c1.conj().T
+
+    def rhs(rho):
+        return -1j * (h @ rho - rho @ h_dag) + c0 @ rho @ c0d + c1 @ rho @ c1d
+
+    return rhs
+
+
+def sparse_steady_state(model: Model, g: float) -> np.ndarray:
+    """Stationary density matrix by one sparse direct solve of L vec(rho) = 0
+    in complex arithmetic, with the equation for rho[0, 0] replaced by the
+    trace constraint sum_i rho[i, i] = 1.
+
+    vec stacks rows, so vec(X rho Y) = (X kron Y^T) vec(rho).
+    """
+    from scipy import sparse
+    from scipy.sparse.linalg import spsolve
+
+    dim = model.dim
+    eye = sparse.identity(dim, dtype=complex, format="csr")
+    h = sparse.csr_matrix(effective_hamiltonian(model, g).matrix)
+    liou = -1j * (sparse.kron(h, eye) - sparse.kron(eye, h.conj()))
+    for c in (model.c0, model.c1):
+        cs = sparse.csr_matrix(c)
+        liou = liou + sparse.kron(cs, cs.conj())
+    diagonal = np.arange(dim) * (dim + 1)
+    trace_row = sparse.csr_matrix((np.ones(dim), (np.zeros(dim, dtype=int), diagonal)), shape=(1, dim * dim))
+    system = sparse.vstack([trace_row, sparse.csr_matrix(liou)[1:]]).tocsc()
+    b = np.zeros(dim * dim, dtype=complex)
+    b[0] = 1.0
+    rho = spsolve(system, b).reshape(dim, dim)
+    return 0.5 * (rho + rho.conj().T)
 
 
 def empty_cavity_expected_counts(epsilon: float, kappa: float, duration: float) -> float:

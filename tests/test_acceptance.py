@@ -14,7 +14,12 @@ import numpy as np
 import pytest
 
 import conftest
-from oracles import direct_log_density, empty_cavity_expected_counts, random_toy_instance
+from oracles import (
+    complex_liouvillian,
+    direct_log_density,
+    empty_cavity_expected_counts,
+    random_toy_instance,
+)
 
 from qsysid import (
     GGrid,
@@ -272,14 +277,7 @@ def test_criterion_8_structural_invariants(tmp_path):
 
     # master-equation trace drift, measured externally with a raw RK4 replica
     toy = build_model(ModelParams(g0=8.0, gamma_perp=1.3, kappa=2.1, epsilon=1.7, n_trunc=6))
-    h = effective_hamiltonian(toy, 4.2).matrix
-    h_dag = h.conj().T
-    c0, c1 = toy.c0, toy.c1
-    c0d, c1d = c0.conj().T, c1.conj().T
-
-    def rhs(rho):
-        return -1j * (h @ rho - rho @ h_dag) + c0 @ rho @ c0d + c1 @ rho @ c1d
-
+    rhs = complex_liouvillian(toy, 4.2)
     rho = ground_vacuum_density(toy).rho.copy()
     dt = 1e-4
     drift = 0.0

@@ -1,17 +1,23 @@
 import math
 import warnings
+from unittest.mock import patch
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+import qsysid.mastereq
 from qsysid import (
     ConvergenceError,
     InvalidParametersError,
+    MasterState,
     ModelParams,
     StepSizeError,
     build_model,
     check_truncation,
     conditional_states,
+    effective_hamiltonian,
     expectations,
     ground_vacuum_density,
     integrate_master,
@@ -19,6 +25,8 @@ from qsysid import (
     simulate_record,
     steady_state,
 )
+
+from oracles import complex_liouvillian, random_hermitian, sparse_steady_state
 
 TWO_PI = 2.0 * np.pi
 
@@ -39,6 +47,7 @@ def test_integration_preserves_density_matrix_structure(coupled_model):
     for _ in range(4):
         state = integrate_master(coupled_model, 3.0, state, 0.25)
         rho = state.rho
+        assert rho.dtype == np.float64  # a real start stays real
         assert np.trace(rho).real == pytest.approx(1.0, abs=1e-12)
         assert np.abs(rho - rho.conj().T).max() <= 1e-12
         eigs = np.linalg.eigvalsh(rho)
@@ -59,6 +68,68 @@ def test_integration_validation(coupled_model):
         integrate_master(coupled_model, 3.0, state, -1.0)
     with pytest.raises(InvalidParametersError):
         integrate_master(coupled_model, 3.0, state, 1.0, dt=0.0)
+
+
+@pytest.mark.parametrize("fault", ["shape", "non-finite", "non-Hermitian"])
+def test_bad_start_state_raises_before_any_step(coupled_model, fault):
+    rho = ground_vacuum_density(coupled_model).rho.copy()
+    if fault == "shape":
+        rho = rho[:-1]
+    elif fault == "non-finite":
+        rho[1, 1] = np.nan
+    else:
+        rho[0, 1] = 0.5
+    no_steps = patch.object(qsysid.mastereq, "_rhs_factory", side_effect=AssertionError("stepped"))
+    with no_steps, pytest.raises(InvalidParametersError, match="rho0"):
+        integrate_master(coupled_model, 3.0, MasterState(rho), 1.0)
+
+
+def test_complex_start_evolves_its_real_part_like_a_real_start(coupled_model):
+    # L is real and keeps the trace, so the real and imaginary parts of a
+    # complex Hermitian rho evolve apart, and only the real part has trace
+    rng = np.random.default_rng(7)
+    psi = rng.standard_normal(coupled_model.dim) + 1j * rng.standard_normal(coupled_model.dim)
+    rho0 = np.outer(psi, psi.conj()) / np.vdot(psi, psi).real
+    out = integrate_master(coupled_model, 3.0, MasterState(rho0), 0.2)
+    real = integrate_master(coupled_model, 3.0, MasterState(rho0.real), 0.2)
+    assert out.rho.dtype == np.complex128
+    assert np.abs(out.rho.imag).max() > 1e-3
+    np.testing.assert_allclose(out.rho.real, real.rho, rtol=0.0, atol=1e-12)
+
+
+def _assert_liouvillian_matches_oracle(model, g, rho):
+    """The real-arithmetic rhs against the dense complex formula, to the
+    rounding of a length-dim sum of the largest products that enter it."""
+    got = qsysid.mastereq._rhs_factory(model, g)(rho)
+    want = complex_liouvillian(model, g)(rho)
+    row_sums = [np.abs(op).sum(axis=1).max() for op in (model.c0, model.c1)]
+    h_rows = np.abs(effective_hamiltonian(model, g).matrix).sum(axis=1).max()
+    scale = (2.0 * h_rows + sum(r * r for r in row_sums)) * np.abs(rho).max()
+    assert np.abs(got - want).max() <= model.dim * np.finfo(float).eps * scale
+
+
+@pytest.mark.parametrize("real", [True, False], ids=["real-symmetric", "complex-Hermitian"])
+def test_liouvillian_matches_complex_oracle_at_headline_dimension(cavity_model, real):
+    rho = random_hermitian(np.random.default_rng(30), cavity_model.dim, real)
+    _assert_liouvillian_matches_oracle(cavity_model, 45.0, rho)
+
+
+@settings(deadline=None)
+@given(
+    n_trunc=st.integers(1, 40),
+    kappa=st.floats(0.0, 300.0),
+    gamma_perp=st.floats(0.0, 300.0),
+    epsilon=st.floats(0.0, 50.0),
+    g=st.floats(0.0, 60.0),
+    seed=st.integers(0, 2**32 - 1),
+    real=st.booleans(),
+)
+def test_liouvillian_matches_complex_oracle(n_trunc, kappa, gamma_perp, epsilon, g, seed, real):
+    assume(kappa + gamma_perp > 0.0)
+    params = ModelParams(g0=57.0, gamma_perp=gamma_perp, kappa=kappa, epsilon=epsilon, n_trunc=n_trunc)
+    model = build_model(params)
+    rho = random_hermitian(np.random.default_rng(seed), model.dim, real)
+    _assert_liouvillian_matches_oracle(model, g, rho)
 
 
 def test_coarse_step_raises_step_size_error():
@@ -101,8 +172,15 @@ def test_empty_cavity_steady_state_closed_form(empty_cavity):
 
 def test_steady_state_is_fixed_point(coupled_model):
     ss = steady_state(coupled_model, 3.0)
+    assert ss.rho.dtype == np.float64
     later = integrate_master(coupled_model, 3.0, ss, 0.1)
     assert np.abs(later.rho - ss.rho).max() <= 1e-9
+
+
+def test_steady_state_matches_sparse_solve_at_headline_point(cavity_model):
+    got = steady_state(cavity_model, 45.0).rho
+    want = sparse_steady_state(cavity_model, 45.0)
+    assert np.abs(got - want).max() <= 1e-9
 
 
 def test_steady_state_convergence_failure(coupled_model):
