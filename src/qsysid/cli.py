@@ -118,7 +118,6 @@ def _cmd_estimate(args) -> int:
 def _cmd_ensemble(args) -> int:
     config = parse_config(args.config)
     model = build_model(config.model_params())
-    checkpoints = config.checkpoint_times()
     result = run_ensemble(
         model,
         config.g_true,
@@ -126,7 +125,7 @@ def _cmd_ensemble(args) -> int:
         config.n_traj,
         config.t0,
         config.tf,
-        checkpoints=checkpoints,
+        checkpoints=config.checkpoints,
         master_seed=config.seed,
         refine=config.refine,
     )
@@ -134,7 +133,7 @@ def _cmd_ensemble(args) -> int:
         print(f"failed trajectories: {len(result.failures)} of {result.n_traj}")
         for index, reason in result.failures:
             print(f"  trajectory {index}: {reason}")
-    hist_time = args.hist_time if args.hist_time is not None else checkpoints[-1]
+    hist_time = args.hist_time if args.hist_time is not None else result.checkpoints[-1]
     bin_width = args.bin_width if args.bin_width is not None else config.grid_step
     stats, histogram = summarize(result, hist_time, bin_width)
     write_stats_csv(args.out, stats)

@@ -45,6 +45,7 @@ from .model import (
 
 EIG_TOLERANCE = 1e-10         # eigen-path error on the scorer's states, relative
 JUMP_TIME_TOL = 1e-9          # bisection window for jump times, us
+_RENORM_LOG_BUDGET = 100.0    # max |log norm^2| the scorer lets accumulate per chunk
 _MAX_BISECT = 200
 
 METHOD_EIG = "eigendecomposition"
@@ -312,24 +313,27 @@ def _eig_error(a: np.ndarray, prop: Propagator) -> float:
     """Relative error of the eigen path, as the scorer runs it (coordinates,
     `turn`, back to states), on the states the scorer starts from: the
     ground vacuum (basis state 0) and that state after one decay time of the
-    fastest mode, each evolved over that decay time and over the scorer's
-    renormalization chunk (100 of them), against `_expm(tau * A)`, the
-    fallback's own evolution. Over the chunk, also on the share of the state
-    each detection channel sees and renormalizes to: the excited atom, and
-    the field weighted by sqrt(n) (basis index 2n + s); as g -> 0 the atom's
-    share is O(g) and its error grows as 1/g. inf where the eigen form is
-    not exactly zero wherever the exponential is, or where no mode decays.
+    fastest mode, each evolved over that decay time and over
+    `_RENORM_LOG_BUDGET` of them, against `_expm(tau * A)`, the fallback's
+    own evolution. The scorer's chunk is `_RENORM_LOG_BUDGET` over
+    `max_total_decay_rate`, which is at least this rate, so the longer
+    interval spans at least one chunk (1.10 at the headline point). Over
+    it, also on the share of the state each detection channel sees and
+    renormalizes to: the excited atom, and the field weighted by sqrt(n)
+    (basis index 2n + s); as g -> 0 the atom's share is O(g) and its error
+    grows as 1/g. inf where the eigen form is not exactly zero wherever the
+    exponential is, or where no mode decays.
 
     Per-element measures would be the wrong test: basis states high in the
     Fock ladder, which the scorer never holds, see cond(W) ~ 1e9 in full.
     After one decay time the shares are still growing from zero, and off by
-    up to 1e-8 at the headline point (5e-12 over the chunk).
+    up to 1e-8 at the headline point (5e-12 over the longer interval).
     """
     mu, basis, basis_inv, partner = prop.eigvals[0], prop.basis[0], prop.basis_inv[0], prop.partner[0]
     rate = -2.0 * float(mu.real.min())
     if not (math.isfinite(rate) and rate > 0.0):
         return math.inf
-    taus = (1.0 / rate, 100.0 / rate)
+    taus = (1.0 / rate, _RENORM_LOG_BUDGET / rate)
     exact = [_expm(tau * a) for tau in taus]
     probes = np.stack([exact[0][:, 0], np.eye(len(a))[0]])
     probes /= np.linalg.norm(probes, axis=1)[:, None]

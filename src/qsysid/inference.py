@@ -12,13 +12,15 @@ an interval turns them, a detection is one real product, and every chunk
 of no-detection evolution (at most `_RENORM_LOG_BUDGET` over the largest
 total decay rate) and event is renormalized by the coordinates' norm with
 the removed log factors summed, so nothing underflows even for event-free
-windows hundreds of decay times long. The state itself is formed only
-where a true norm closes the sum. That pass is the only replay of a record
-in the package, and everything is a cut of it: the surface is the record
-cut at tf, the per-jump history the cuts at the event times, checkpoint
-estimates and the conditional states (`conditional_states`, the pass on a
-stack of one candidate) the cuts at their times. An ensemble prepares its
-grid once for all its records.
+windows hundreds of decay times long. A candidate under which a recorded
+event has zero amplitude is excluded: its row is held at exactly zero and
+its log-likelihood at -inf, which renormalization leaves as they are. The
+state itself is formed only where a true norm closes the sum. That pass is
+the only replay of a record in the package, and everything is a cut of it:
+the surface is the record cut at tf, the per-jump history the cuts at the
+event times, checkpoint estimates and the conditional states
+(`conditional_states`, the pass on a stack of one candidate) the cuts at
+their times. An ensemble prepares its grid once for all its records.
 """
 
 from __future__ import annotations
@@ -28,11 +30,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dynamics import ClassicalRecord, Detector, Propagator, max_total_decay_rate, prepare_propagator
+from .dynamics import (_RENORM_LOG_BUDGET, ClassicalRecord, Detector, Propagator,
+                       max_total_decay_rate, prepare_propagator)
 from .errors import InvalidParametersError, NoEstimateError, NumericError
 from .model import Model, ModelParams, effective_hamiltonian, ground_vacuum
-
-_RENORM_LOG_BUDGET = 100.0  # max |log norm^2| allowed to accumulate per chunk
 
 DEFAULT_GRID_MIN = 0.0
 DEFAULT_GRID_STEP = 0.5
@@ -155,14 +156,12 @@ def _prepare_grid(model: Model, grid: GGrid) -> _PreparedGrid:
     return _PreparedGrid(grid, *_prepare(model, grid.values))
 
 
-def _renormalize(coords: np.ndarray, loglik: np.ndarray, alive: np.ndarray, n2: np.ndarray) -> None:
-    """Divide the live rows by their norms, in place, and add the logs."""
-    if alive.all():
-        loglik += np.log(n2)
-        coords /= np.sqrt(n2)[:, None]
-    else:
-        loglik[alive] += np.log(n2[alive])
-        coords[alive] /= np.sqrt(n2[alive])[:, None]
+def _renormalize(rows: np.ndarray, loglik: np.ndarray, n2: np.ndarray) -> None:
+    """Divide each row by sqrt(n2) in place and add log(n2) to its loglik;
+    a zero row (an excluded candidate, at -inf) stays as it is."""
+    n2 = np.where(n2 > 0.0, n2, 1.0)
+    loglik += np.log(n2)
+    rows /= np.sqrt(n2)[:, None]
 
 
 def _check_cut_times(times, t0: float, tf: float) -> np.ndarray:
@@ -197,6 +196,8 @@ def _score_record(
     fallback), turns them through each no-detection interval and applies
     each detection as one product (`Detector.on_coords`), dividing by the
     coordinates' norm after every chunk and event and summing the logs. A
+    candidate that an event cannot happen to is excluded there: its row is
+    zeroed and its log-likelihood set to -inf, and both stay so. A
     state is formed (psi = W y) only at a cut, where the log-likelihood is
     the summed logs plus log ||psi||^2, which closes the telescoped sum.
 
@@ -217,7 +218,6 @@ def _score_record(
     start = np.tile(ground_vacuum(model).real, (n_g, 1))
     coords = prop.to_coords(start)
     loglik = np.zeros(n_g, dtype=float)
-    alive = np.ones(n_g, dtype=bool)
 
     def after_last_event() -> np.ndarray:
         """The normalized states after the last event, exact in structure."""
@@ -233,11 +233,11 @@ def _score_record(
         for _ in range(n_sub):
             new_coords = prop.turn(new_coords, sub)
             n2 = _row_norms_sq(new_coords)
-            if not np.all(np.isfinite(n2[alive])):
+            if not np.all(np.isfinite(n2)):
                 raise NumericError("no-detection evolution produced non-finite norms")
-            if np.any(n2[alive] <= 0.0):
+            if np.any((n2 <= 0.0) & (new_loglik > -np.inf)):
                 raise NumericError("no-detection norm underflowed within one renormalization chunk")
-            _renormalize(new_coords, new_loglik, alive, n2)
+            _renormalize(new_coords, new_loglik, n2)
         return new_coords, new_loglik
 
     def cut(tau: float) -> tuple[np.ndarray, np.ndarray]:
@@ -247,21 +247,20 @@ def _score_record(
             states = prop.from_coords(cut_coords)
         else:
             states, cut_loglik = after_last_event().copy(), loglik.copy()
-        _renormalize(states, cut_loglik, alive, _row_norms_sq(states))
+        _renormalize(states, cut_loglik, _row_norms_sq(states))
         return states, cut_loglik
 
     def detected(rows: np.ndarray, k: int) -> np.ndarray:
-        """The squared norms of rows just collapsed; rows that the event
-        cannot happen to are marked dead, the others renormalized."""
+        """The squared norms of rows just collapsed, which are renormalized;
+        a row that the event cannot happen to is excluded."""
         n2 = _row_norms_sq(rows)
-        if not np.all(np.isfinite(n2[alive])):
+        if not np.all(np.isfinite(n2)):
             raise NumericError(f"jump application produced non-finite norms (event {k})")
-        dying = alive & (n2 <= 0.0)
-        if dying.any():
-            loglik[dying] = -np.inf
-            rows[dying] = 0.0
-            alive[dying] = False
-        _renormalize(rows, loglik, alive, n2)
+        excluded = n2 <= 0.0
+        if excluded.any():  # rare: most events exclude nothing, and masked writes cost time
+            loglik[excluded] = -np.inf
+            rows[excluded] = 0.0
+        _renormalize(rows, loglik, n2)
         return n2
 
     times = times.tolist()
@@ -287,8 +286,8 @@ def _score_record(
 
             def after_last_event(before=before, detector=detector, n2=n2):
                 states = detector.on_states(prop.from_coords(before))
-                states[alive] /= np.sqrt(n2[alive])[:, None]
-                states[~alive] = 0.0
+                states[n2 <= 0.0] = 0.0  # the rows this event excluded stay exactly zero
+                _renormalize(states, np.zeros(n_g), n2)
                 return states
         t_prev = t_k
     for t in times[i:]:

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .dynamics import ClassicalRecord
-from .ensemble import ConvergenceStats, MleHistogram, default_checkpoints
+from .ensemble import ConvergenceStats, MleHistogram
 from .errors import ConfigError, FormatError, InvalidParametersError
 from .inference import DEFAULT_GRID_MIN, DEFAULT_GRID_STEP, GGrid, LikelihoodSurface, posterior
 from .model import ModelParams
@@ -76,11 +76,6 @@ class Config:
 
     def grid(self) -> GGrid:
         return GGrid(self.grid_min, self.grid_max, self.grid_step)
-
-    def checkpoint_times(self) -> tuple[float, ...]:
-        if self.checkpoints is not None:
-            return self.checkpoints
-        return default_checkpoints(self.t0, self.tf)
 
 
 def _as_number(value, key: str) -> float:

@@ -71,10 +71,12 @@ def integrate_master(
     """Fixed-step classical RK4 integration over `duration` (us).
 
     rho0 must be a finite Hermitian (dim, dim) matrix, else
-    InvalidParametersError; a real one stays real. Each step is followed by
-    Hermitian symmetrization and trace renormalization; the accumulated
-    renormalization is tracked, and a drift rate above 1e-8 per us raises
-    StepSizeError (the step is too coarse for the requested system).
+    InvalidParametersError; a real one stays real. It is symmetrized once,
+    before the first step; the right-hand side and the RK4 combination keep
+    it exactly Hermitian. Each step is followed by trace renormalization;
+    the accumulated renormalization is tracked, and a drift rate above 1e-8
+    per us raises StepSizeError (the step is too coarse for the requested
+    system).
     """
     if not (math.isfinite(duration) and duration >= 0.0):
         raise InvalidParametersError(f"duration must be >= 0, got {duration}")
@@ -87,6 +89,7 @@ def integrate_master(
         raise InvalidParametersError("rho0 must be Hermitian")
     if duration == 0.0:
         return MasterState(rho=rho, time=rho0.time)
+    rho = 0.5 * (rho + rho.conj().T)
     rhs = _rhs_factory(model, g)
     n_full = int(math.floor(duration / dt + 1e-12))
     remainder = duration - n_full * dt
@@ -98,7 +101,6 @@ def integrate_master(
         k3 = rhs(rho + (0.5 * h_step) * k2)
         k4 = rhs(rho + h_step * k3)
         rho = rho + (h_step / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        rho = 0.5 * (rho + rho.conj().T)
         trace = float(np.trace(rho).real)
         if not math.isfinite(trace) or trace <= 0.0:
             raise StepSizeError(

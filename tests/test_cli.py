@@ -104,6 +104,23 @@ def test_ensemble_writes_stats_and_histogram(tmp_path, toy_config, capsys):
     assert all(float(r[0]) == 1.0 for r in rows)  # default hist time: last checkpoint
 
 
+def test_ensemble_without_checkpoints_uses_twenty_ending_at_tf(tmp_path, capsys):
+    config = {key: value for key, value in TOY_CONFIG.items() if key != "checkpoints_us"}
+    config.update(n_traj=2, tf_us=2.0)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config, indent=2) + "\n")
+    stats_path = tmp_path / "stats.csv"
+    hist_path = tmp_path / "hist.csv"
+    code = main(["ensemble", "--config", str(path), "--out", str(stats_path), "--hist", str(hist_path)])
+    assert code == 0
+    _, rows = csv_rows(stats_path)
+    times = [float(r[0]) for r in rows]
+    np.testing.assert_allclose(times, 0.1 * np.arange(1, 21), rtol=0, atol=1e-12)
+    assert times[-1] == 2.0
+    _, rows = csv_rows(hist_path)
+    assert all(float(r[0]) == 2.0 for r in rows)  # default hist time: last checkpoint
+
+
 def test_ensemble_names_each_failed_trajectory(tmp_path, toy_config, capsys, monkeypatch):
     # two of three trajectories fail, so summarize has too few survivors;
     # the reasons are printed before that error ends the run

@@ -1,4 +1,5 @@
 import warnings
+from functools import partial
 from unittest.mock import patch
 
 import numpy as np
@@ -15,7 +16,9 @@ from qsysid import (
     LikelihoodSurface,
     ModelParams,
     NoEstimateError,
+    NumericError,
     build_model,
+    conditional_states,
     default_grid,
     effective_hamiltonian,
     estimate_time_series,
@@ -272,6 +275,53 @@ def test_all_candidates_excluded_raises():
         surf.posterior()
     with pytest.raises(NoEstimateError):
         posterior_and_mle(surf)
+
+
+@pytest.mark.parametrize("method", [METHOD_EIG, METHOD_FALLBACK])
+@pytest.mark.parametrize("gap", [0.3, 0.005], ids=["coordinates", "psi"])
+def test_excluded_candidate_is_a_zero_row_at_minus_inf(gap, method):
+    # g = 0 cannot explain the atomic detection (event 2): after a long gap
+    # the scorer excludes it in coordinates, within 1/(largest decay rate)
+    # of the cavity detection before it through psi; every other row, and
+    # the excluded one before the event, runs as it does alone. On the
+    # fallback that holds to rounding only: `Detector.on_states` returns a
+    # stack of more than one row in Fortran order, which `_row_norms_sq`
+    # sums in another order than a stack of one
+    same = np.testing.assert_array_equal
+    if method == METHOD_FALLBACK:
+        same = partial(np.testing.assert_allclose, rtol=1e-13, atol=1e-15)  # states have norm 1
+    model = build_model(ModelParams(g0=5.0, gamma_perp=0.8, kappa=1.2, epsilon=1.0, n_trunc=3))
+    assert (gap * max_total_decay_rate(model) > 1.0) == (gap == 0.3)
+    times = np.array([0.2, 0.4, 0.4 + gap, 0.4 + gap + 0.2])
+    record = ClassicalRecord(t0=0.0, tf=1.0, times=times, channels=np.array([1, 1, 0, 1]))
+    grid = GGrid(0.0, 4.0, 2.0)
+    t_excluded = float(times[2])
+    edges = np.concatenate([[0.0], times, [1.0]])
+    cut_times = np.sort(np.concatenate([times, 0.5 * (edges[:-1] + edges[1:]), [1.0]]))
+    score = qsysid.inference._score_record
+    prepare = qsysid.inference._prepare
+    with forced_path(method):
+        cuts = list(score(model, *prepare(model, grid.values), record, cut_times))
+        for j, g in enumerate(grid.values):
+            alone = score(model, *prepare(model, [g]), record, cut_times)
+            for (t, _, states, loglik), (_, _, states_1, loglik_1) in zip(cuts, alone, strict=True):
+                if j == 0 and t >= t_excluded:
+                    assert loglik[0] == loglik_1[0] == -np.inf
+                    assert not states[0].any()
+                else:
+                    assert np.isfinite(loglik[j])
+                    same(loglik[j], loglik_1[0])
+                    same(states[j], states_1[0])
+        surface = likelihood_surface(model, record, grid, with_history=True)
+        history = [loglik for (_, _, _, loglik) in score(model, *prepare(model, grid.values), record, times)]
+        np.testing.assert_array_equal(surface.history, history)
+        for j, g in enumerate(grid.values[1:], start=1):
+            same(surface.loglik[j], log_likelihood(model, record, float(g)))
+        assert surface.loglik[0] == -np.inf
+        np.testing.assert_array_equal(surface.history[2:, 0], -np.inf)
+        assert np.all(np.isfinite(surface.history[:2, 0]))
+        with pytest.raises(NumericError, match="zero weight"):
+            conditional_states(model, 0.0, record, [t_excluded])
 
 
 # ------------------------------------------------------------------- history

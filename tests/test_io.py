@@ -69,7 +69,6 @@ def test_parse_config_happy_path(tmp_path):
     assert cfg.checkpoints is None
     assert cfg.grid().n == 23
     assert cfg.model_params() == ModelParams(57.0, 2.5, 30.0, 44.3, 30)
-    assert len(cfg.checkpoint_times()) == 20
 
 
 def test_config_round_trip(tmp_path):
