@@ -38,6 +38,7 @@ from .model import (
     TWO_PI,
     EffectiveHamiltonian,
     Model,
+    _check_integer,
     effective_hamiltonian,
     ground_vacuum,
     shift_form,
@@ -400,7 +401,7 @@ def prepare_propagator(hamiltonian: EffectiveHamiltonian, method: str | None = N
 def _check_window(t0: float, tf: float) -> None:
     """InvalidParametersError unless the window [t0, tf] is finite with tf > t0."""
     if not (math.isfinite(t0) and math.isfinite(tf)) or not tf > t0:
-        raise InvalidParametersError(f"need tf > t0, got [{t0}, {tf}]")
+        raise InvalidParametersError(f"need tf > t0, got [{t0}, {tf}]", field="tf")
 
 
 def max_total_decay_rate(model: Model) -> float:
@@ -453,6 +454,8 @@ class ClassicalRecord:
     """One photodetection record: observation window plus (time, channel) events.
 
     channels: 0 = atomic fluorescence side channel, 1 = cavity output channel.
+    A record is valid once constructed: `__post_init__` runs `validate`, and
+    checks the channel values before they are cast to int64.
     """
 
     t0: float
@@ -462,35 +465,42 @@ class ClassicalRecord:
     metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        times = np.asarray(self.times, dtype=float).copy()
-        channels = np.asarray(self.channels, dtype=np.int64).copy()
-        times.flags.writeable = False
-        channels.flags.writeable = False
-        object.__setattr__(self, "times", times)
-        object.__setattr__(self, "channels", channels)
+        object.__setattr__(self, "times", np.array(self.times, dtype=float))
+        object.__setattr__(self, "channels", np.array(self.channels))
+        self.validate()
+        object.__setattr__(self, "channels", self.channels.astype(np.int64))
+        self.times.flags.writeable = False
+        self.channels.flags.writeable = False
 
     @property
     def n_events(self) -> int:
         return int(self.times.size)
 
     def validate(self) -> None:
-        """Raise FormatError if the record violates its structural contract."""
+        """Raise FormatError if the record violates its structural contract;
+        for the first faulty event, with its index as `FormatError.event`."""
         if not (math.isfinite(self.t0) and math.isfinite(self.tf)):
             raise FormatError(f"record window must be finite, got [{self.t0}, {self.tf}]")
         if self.tf < self.t0:
             raise FormatError(f"record window is reversed: tf={self.tf} < t0={self.t0}")
         if self.times.ndim != 1 or self.channels.shape != self.times.shape:
             raise FormatError("event times and channels must be 1-d arrays of equal length")
-        if self.n_events:
-            if not np.all(np.isfinite(self.times)):
-                raise FormatError("event times must be finite")
-            if self.times[0] < self.t0 or self.times[-1] > self.tf:
-                raise FormatError("event times must lie within [t0, tf]")
-            if np.any(np.diff(self.times) <= 0):
-                bad = int(np.argmax(np.diff(self.times) <= 0)) + 1
-                raise FormatError(f"event times must be strictly increasing (event {bad})")
-        if self.n_events and not np.all((self.channels == 0) | (self.channels == 1)):
-            raise FormatError("event channels must be 0 or 1")
+        t, c = self.times, self.channels
+        bad = ~np.isfinite(t) | ~((c == 0) | (c == 1)) | (t < self.t0) | (t > self.tf)
+        bad[1:] |= ~(t[1:] > t[:-1])
+        if not bad.any():
+            return
+        i = int(np.argmax(bad))
+        t_i, c_i = float(t[i]), c.tolist()[i]
+        if not math.isfinite(t_i):
+            message = f"event {i} time must be a finite number, got {t_i!r}"
+        elif c_i not in (0, 1):
+            message = f"event {i} channel must be 0 or 1, got {c_i!r}"
+        elif not self.t0 <= t_i <= self.tf:
+            message = f"event {i} time {t_i} outside window [{self.t0}, {self.tf}]"
+        else:
+            message = f"event times must be strictly increasing ({float(t[i - 1])} then {t_i})"
+        raise FormatError(message, event=i)
 
     def digest(self) -> str:
         """Short content hash identifying this record."""
@@ -532,8 +542,7 @@ def simulate_record(
     seed).
     """
     _check_window(t0, tf)
-    if seed < 0:
-        raise InvalidParametersError(f"seed must be >= 0, got {seed}")
+    _check_integer("seed", seed, 0)
     psi = ground_vacuum(model).real  # A and both collapse operators are real, so psi stays real
     propagator = prepare_propagator(effective_hamiltonian(model, g_true))
     detectors = (Detector(propagator, model.c0), Detector(propagator, model.c1))
@@ -588,11 +597,4 @@ def simulate_record(
         },
         "initial_state": "ground-vacuum",
     }
-    record = ClassicalRecord(
-        t0=float(t0), tf=float(tf),
-        times=np.asarray(times, dtype=float),
-        channels=np.asarray(channels, dtype=np.int64),
-        metadata=metadata,
-    )
-    record.validate()
-    return record
+    return ClassicalRecord(float(t0), float(tf), times, channels, metadata)

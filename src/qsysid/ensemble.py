@@ -11,7 +11,7 @@ import numpy as np
 from .dynamics import _check_window, simulate_record
 from .errors import InvalidParametersError, QsysidError, StatisticsError
 from .inference import Estimate, GGrid, _check_cut_times, _prepare_grid, estimate_time_series
-from .model import Model, ModelParams
+from .model import Model, ModelParams, _check_integer
 
 DEFAULT_N_CHECKPOINTS = 20
 
@@ -76,8 +76,7 @@ def run_ensemble(
     are recorded and skipped rather than aborting the run. A bad window or
     checkpoint list raises InvalidParametersError before any simulation.
     """
-    if n_traj < 1:
-        raise InvalidParametersError(f"n_traj must be >= 1, got {n_traj}")
+    _check_integer("n_traj", n_traj, 1)
     _check_window(t0, tf)
     if checkpoints is None:
         checkpoints = default_checkpoints(t0, tf)

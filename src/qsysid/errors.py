@@ -6,7 +6,12 @@ class QsysidError(Exception):
 
 
 class InvalidParametersError(QsysidError, ValueError):
-    """A physical parameter or argument violates its documented range."""
+    """A physical parameter or argument violates its documented range;
+    `field` names the parameter when one alone is at fault."""
+
+    def __init__(self, message: str, field: str | None = None):
+        self.field = field
+        super().__init__(message)
 
 
 class NumericError(QsysidError, RuntimeError):
@@ -24,10 +29,12 @@ class ConfigError(QsysidError, ValueError):
 
 
 class FormatError(QsysidError, ValueError):
-    """A record or result file violates its format contract."""
+    """A record or result file violates its format contract; `event` is the
+    index of the offending event, `line` its line in the file."""
 
-    def __init__(self, message: str, line: int | None = None):
+    def __init__(self, message: str, line: int | None = None, event: int | None = None):
         self.line = line
+        self.event = event
         if line is not None:
             message = f"{message} (line {line})"
         super().__init__(message)

@@ -51,15 +51,15 @@ class GGrid:
     def __post_init__(self):
         for name in ("g_min", "g_max", "step"):
             if not math.isfinite(getattr(self, name)):
-                raise InvalidParametersError(f"{name} must be finite")
+                raise InvalidParametersError(f"{name} must be finite", field=name)
         if self.g_min < 0:
-            raise InvalidParametersError(f"g_min must be >= 0, got {self.g_min}")
+            raise InvalidParametersError(f"g_min must be >= 0, got {self.g_min}", field="g_min")
         if self.g_max <= self.g_min:
             raise InvalidParametersError(
-                f"need g_max > g_min, got [{self.g_min}, {self.g_max}]"
+                f"need g_max > g_min, got [{self.g_min}, {self.g_max}]", field="g_max"
             )
         if self.step <= 0:
-            raise InvalidParametersError(f"step must be > 0, got {self.step}")
+            raise InvalidParametersError(f"step must be > 0, got {self.step}", field="step")
         n = int(math.floor((self.g_max - self.g_min) / self.step + 1e-9)) + 1
         values = np.minimum(self.g_min + self.step * np.arange(n, dtype=float), self.g_max)
         values.flags.writeable = False
@@ -165,13 +165,15 @@ def _renormalize(rows: np.ndarray, loglik: np.ndarray, n2: np.ndarray) -> None:
 
 
 def _check_cut_times(times, t0: float, tf: float) -> np.ndarray:
-    """The cut times as floats; InvalidParametersError unless they are
-    finite, ascending and within [t0, tf]."""
+    """The cut times as floats; InvalidParametersError, naming the rule,
+    unless they are finite, ascending and within [t0, tf]."""
     times = np.asarray(times, dtype=float)
-    if times.size and (
-        not np.all(np.isfinite(times)) or np.any(np.diff(times) < 0) or times[0] < t0 or times[-1] > tf
-    ):
-        raise InvalidParametersError("cut times must be finite, ascending and within the record window")
+    if not np.all(np.isfinite(times)):
+        raise InvalidParametersError("cut times must be finite", field="times")
+    if np.any(np.diff(times) < 0):
+        raise InvalidParametersError("cut times must be ascending", field="times")
+    if times.size and (times[0] < t0 or times[-1] > tf):
+        raise InvalidParametersError(f"cut times must lie within [{t0}, {tf}]", field="times")
     return times
 
 
@@ -210,7 +212,6 @@ def _score_record(
     on the record up to it alone, so every cut runs the arithmetic of
     scoring the record that ends there.
     """
-    record.validate()
     times = _check_cut_times(times, record.t0, record.tf)
     decay = max_total_decay_rate(model)
     chunk = _RENORM_LOG_BUDGET / decay

@@ -3,6 +3,13 @@
 Floats are serialized with Python's shortest round-trip repr, so every file
 is lossless and byte-stable for a given input. Config parsing is strict:
 unknown keys are rejected by name rather than silently ignored.
+
+This module checks only what a file alone can get wrong: JSON shape, value
+types, unknown and missing keys, and the schema. Every range rule is held
+once, by the type or check that owns the value (`ModelParams`, `GGrid`,
+the window and cut-time checks, `ClassicalRecord`, which is valid by
+construction); their errors are mapped here to a config key or a record
+line.
 """
 
 from __future__ import annotations
@@ -13,12 +20,10 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
-import numpy as np
-
-from .dynamics import ClassicalRecord
+from .dynamics import ClassicalRecord, _check_window
 from .ensemble import ConvergenceStats, MleHistogram
 from .errors import ConfigError, FormatError, InvalidParametersError
-from .inference import DEFAULT_GRID_MIN, DEFAULT_GRID_STEP, GGrid, LikelihoodSurface, posterior
+from .inference import GGrid, LikelihoodSurface, _check_cut_times, default_grid, posterior
 from .model import ModelParams
 
 CONFIG_SCHEMA = "qsysid-config/1"
@@ -41,6 +46,19 @@ _CONFIG_KEYS = {
     "refine",
 }
 _GRID_KEYS = {"min_mhz", "max_mhz", "step_mhz"}
+# the config key behind each parameter a domain type or check names as its field
+_FIELD_KEYS = {
+    "g0": "g0_mhz",
+    "gamma_perp": "gamma_perp_mhz",
+    "kappa": "kappa_mhz",
+    "epsilon": "epsilon_mhz",
+    "n_trunc": "n_trunc",
+    "g_min": "grid.min_mhz",
+    "g_max": "grid.max_mhz",
+    "step": "grid.step_mhz",
+    "tf": "tf_us",
+    "times": "checkpoints_us",
+}
 _RECORD_KEYS = {"schema", "t0_us", "tf_us", "events", "metadata"}
 _EVENT_KEYS = {"t_us", "channel"}
 
@@ -133,30 +151,14 @@ def parse_config(path) -> Config:
     tf = _as_number(_required(raw, "tf_us"), "tf_us")
     seed = _as_int(_required(raw, "seed"), "seed")
     n_traj = _as_int(_required(raw, "n_traj"), "n_traj")
-
-    for key, value in (
-        ("g0_mhz", g0),
-        ("gamma_perp_mhz", gamma_perp),
-        ("kappa_mhz", kappa),
-        ("epsilon_mhz", epsilon),
-        ("g_true_mhz", g_true),
-    ):
-        if value < 0:
-            raise ConfigError(f"must be >= 0, got {value}", key=key)
-    if kappa + gamma_perp <= 0:
-        raise ConfigError(
-            "kappa_mhz + gamma_perp_mhz must be > 0 (no decay channel)",
-            key="kappa_mhz",
-        )
-    if n_trunc < 1:
-        raise ConfigError(f"must be >= 1, got {n_trunc}", key="n_trunc")
-    if not tf > t0:
-        raise ConfigError(f"need tf_us > t0_us, got [{t0}, {tf}]", key="tf_us")
+    if g_true < 0:
+        raise ConfigError(f"must be >= 0, got {g_true}", key="g_true_mhz")
     if seed < 0:
         raise ConfigError(f"must be >= 0, got {seed}", key="seed")
     if n_traj < 1:
         raise ConfigError(f"must be >= 1, got {n_traj}", key="n_traj")
 
+    grid_bounds = None
     if "grid" in raw:
         grid_raw = raw["grid"]
         if not isinstance(grid_raw, dict):
@@ -164,36 +166,28 @@ def parse_config(path) -> Config:
         unknown = sorted(set(grid_raw) - _GRID_KEYS)
         if unknown:
             raise ConfigError("unknown key", key=f"grid.{unknown[0]}")
-        grid_min = _as_number(_required(grid_raw, "min_mhz"), "grid.min_mhz")
-        grid_max = _as_number(_required(grid_raw, "max_mhz"), "grid.max_mhz")
-        grid_step = _as_number(_required(grid_raw, "step_mhz"), "grid.step_mhz")
-    else:
-        grid_min, grid_max, grid_step = DEFAULT_GRID_MIN, g0, DEFAULT_GRID_STEP
-    if grid_min < 0:
-        raise ConfigError(f"must be >= 0, got {grid_min}", key="grid.min_mhz")
-    if grid_max <= grid_min:
-        raise ConfigError(
-            f"need max_mhz > min_mhz, got [{grid_min}, {grid_max}]",
-            key="grid.max_mhz",
-        )
-    if grid_step <= 0:
-        raise ConfigError(f"must be > 0, got {grid_step}", key="grid.step_mhz")
+        grid_bounds = [
+            _as_number(_required(grid_raw, k), f"grid.{k}") for k in ("min_mhz", "max_mhz", "step_mhz")
+        ]
 
     checkpoints: tuple[float, ...] | None = None
     if "checkpoints_us" in raw:
         cp_raw = raw["checkpoints_us"]
         if not isinstance(cp_raw, list) or not cp_raw:
             raise ConfigError("must be a non-empty array", key="checkpoints_us")
-        cp = tuple(_as_number(v, "checkpoints_us") for v in cp_raw)
-        if any(b < a for a, b in zip(cp, cp[1:])):
-            raise ConfigError("must be ascending", key="checkpoints_us")
-        if cp[0] < t0 or cp[-1] > tf:
-            raise ConfigError(
-                f"must lie within [{t0}, {tf}]", key="checkpoints_us"
-            )
-        checkpoints = cp
+        checkpoints = tuple(_as_number(v, "checkpoints_us") for v in cp_raw)
 
     refine = _as_bool(raw["refine"], "refine") if "refine" in raw else True
+
+    # the range rules live with the types that hold the values
+    try:
+        params = ModelParams(g0, gamma_perp, kappa, epsilon, n_trunc)
+        grid = default_grid(params) if grid_bounds is None else GGrid(*grid_bounds)
+        _check_window(t0, tf)
+        if checkpoints is not None:
+            _check_cut_times(checkpoints, t0, tf)
+    except InvalidParametersError as exc:
+        raise ConfigError(str(exc), key=_FIELD_KEYS.get(exc.field)) from None
 
     return Config(
         g0=g0,
@@ -202,9 +196,9 @@ def parse_config(path) -> Config:
         epsilon=epsilon,
         n_trunc=n_trunc,
         g_true=g_true,
-        grid_min=grid_min,
-        grid_max=grid_max,
-        grid_step=grid_step,
+        grid_min=grid.g_min,
+        grid_max=grid.g_max,
+        grid_step=grid.step,
         t0=t0,
         tf=tf,
         seed=seed,
@@ -215,8 +209,7 @@ def parse_config(path) -> Config:
 
 
 def write_record(path, record: ClassicalRecord) -> None:
-    """Serialize a validated record to versioned JSON."""
-    record.validate()
+    """Serialize a record to versioned JSON."""
     obj = {
         "schema": RECORD_SCHEMA,
         "t0_us": record.t0,
@@ -271,8 +264,7 @@ def read_record(path) -> ClassicalRecord:
     metadata = raw.get("metadata", {})
     if not isinstance(metadata, dict):
         raise FormatError("metadata must be an object")
-    times: list[float] = []
-    channels: list[int] = []
+    times, channels = [], []
     for i, event in enumerate(raw["events"]):
         if not isinstance(event, dict):
             raise FormatError(f"event {i} must be an object", line=_event_line(text, i))
@@ -287,37 +279,18 @@ def read_record(path) -> ClassicalRecord:
             )
         t = event["t_us"]
         c = event["channel"]
-        if isinstance(t, bool) or not isinstance(t, (int, float)) or not math.isfinite(t):
-            raise FormatError(
-                f"event {i} time must be a finite number, got {t!r}",
-                line=_event_line(text, i),
-            )
-        if isinstance(c, bool) or not isinstance(c, int) or c not in (0, 1):
-            raise FormatError(
-                f"event {i} channel must be 0 or 1, got {c!r}",
-                line=_event_line(text, i),
-            )
-        if t < t0 or t > tf:
-            raise FormatError(
-                f"event {i} time {t} outside window [{t0}, {tf}]",
-                line=_event_line(text, i),
-            )
-        if times and t <= times[-1]:
-            raise FormatError(
-                f"event times must be strictly increasing ({times[-1]} then {t})",
-                line=_event_line(text, i),
-            )
-        times.append(float(t))
-        channels.append(int(c))
-    record = ClassicalRecord(
-        t0=float(t0),
-        tf=float(tf),
-        times=np.asarray(times, dtype=float),
-        channels=np.asarray(channels, dtype=np.int64),
-        metadata=metadata,
-    )
-    record.validate()
-    return record
+        if isinstance(t, bool) or not isinstance(t, (int, float)):
+            raise FormatError(f"event {i} time must be a finite number, got {t!r}", line=_event_line(text, i))
+        if isinstance(c, bool) or not isinstance(c, int):
+            raise FormatError(f"event {i} channel must be 0 or 1, got {c!r}", line=_event_line(text, i))
+        times.append(t)
+        channels.append(c)
+    try:
+        return ClassicalRecord(float(t0), float(tf), times, channels, metadata)
+    except FormatError as exc:
+        if exc.event is None:
+            raise
+        raise FormatError(str(exc), line=_event_line(text, exc.event), event=exc.event) from None
 
 
 def _write_csv(path, header: list[str], rows) -> None:

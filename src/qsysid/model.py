@@ -14,6 +14,7 @@ index 0.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,15 +42,23 @@ class ModelParams:
             value = getattr(self, name)
             if not math.isfinite(value) or value < 0:
                 raise InvalidParametersError(
-                    f"{name} must be finite and >= 0, got {value}"
+                    f"{name} must be finite and >= 0, got {value}", field=name
                 )
         if self.kappa + self.gamma_perp <= 0:
             raise InvalidParametersError(
                 "kappa + gamma_perp must be > 0: the model needs at least one "
-                "decay channel"
+                "decay channel",
+                field="kappa",
             )
-        if self.n_trunc < 1:
-            raise InvalidParametersError(f"n_trunc must be >= 1, got {self.n_trunc}")
+        object.__setattr__(self, "n_trunc", _check_integer("n_trunc", self.n_trunc, 1))
+
+
+def _check_integer(name: str, value, minimum: int) -> int:
+    """value as an int; InvalidParametersError naming `name` unless it is a
+    Python or numpy integer (not a bool) >= minimum."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum:
+        raise InvalidParametersError(f"{name} must be an integer >= {minimum}, got {value!r}", field=name)
+    return int(value)
 
 
 @dataclass(frozen=True)

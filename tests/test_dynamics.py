@@ -344,6 +344,17 @@ def test_record_validate_rejects_malformed():
         ClassicalRecord(
             t0=0.0, tf=1.0, times=np.array([0.2, 0.5]), channels=np.array([0, 2])
         ).validate()
+    # channel values are checked before the int64 cast, which would make 1.9, -0.5 into 1, 0
+    for channels, event in [([1.9, -0.5], 0), ([0, np.nan], 1), ([1, 0.5], 1)]:
+        with pytest.raises(FormatError, match="channel") as err:
+            ClassicalRecord(t0=0.0, tf=1.0, times=np.array([0.2, 0.5]), channels=channels)
+        assert err.value.event == event
+    with pytest.raises(FormatError, match="finite") as err:
+        ClassicalRecord(t0=0.0, tf=1.0, times=np.array([0.2, np.inf]), channels=np.array([0, 1]))
+    assert err.value.event == 1
+    whole = ClassicalRecord(t0=0.0, tf=1.0, times=[0.2, 0.5], channels=np.array([0.0, 1.0]))
+    assert whole.channels.dtype == np.int64
+    np.testing.assert_array_equal(whole.channels, [0, 1])
 
 
 def test_record_equality_and_digest():
@@ -406,8 +417,12 @@ def test_simulate_rejects_bad_window(small_model):
 
 
 def test_simulate_rejects_negative_seed(small_model):
-    with pytest.raises(InvalidParametersError, match="seed"):
-        simulate_record(small_model, 1.0, t0=0.0, tf=1.0, seed=-1)
+    for seed in (-1, 1.5, True):
+        with pytest.raises(InvalidParametersError, match="seed"):
+            simulate_record(small_model, 1.0, t0=0.0, tf=1.0, seed=seed)
+    assert simulate_record(small_model, 1.0, 0.0, 0.5, seed=np.int64(9)) == simulate_record(
+        small_model, 1.0, 0.0, 0.5, seed=9
+    )
 
 
 @pytest.mark.parametrize("seed", [101, 202, 303])

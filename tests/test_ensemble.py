@@ -96,8 +96,9 @@ def test_run_ensemble_prepares_the_grid_once(monkeypatch):
 
 def test_run_ensemble_rejects_bad_trajectory_count(tiny_ensemble):
     model = build_model(ModelParams(g0=6.0, gamma_perp=0.8, kappa=1.5, epsilon=2.0, n_trunc=6))
-    with pytest.raises(InvalidParametersError):
-        run_ensemble(model, 3.0, GGrid(1.0, 5.0, 1.0), n_traj=0, t0=0.0, tf=1.0)
+    for n_traj in (0, 2.5, True):
+        with pytest.raises(InvalidParametersError, match="n_traj"):
+            run_ensemble(model, 3.0, GGrid(1.0, 5.0, 1.0), n_traj=n_traj, t0=0.0, tf=1.0)
 
 
 @pytest.mark.parametrize(

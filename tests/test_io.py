@@ -138,6 +138,10 @@ def test_missing_required_key_named(tmp_path):
         (dict(checkpoints_us=[0.5, 1.5]), "checkpoints_us"),
         (dict(checkpoints_us=[-0.5]), "checkpoints_us"),
         (dict(seed=-1), "seed"),
+        (dict(g0_mhz=-1.0), "g0_mhz"),
+        (dict(kappa_mhz=-1.0), "kappa_mhz"),
+        (dict(epsilon_mhz=-1.0), "epsilon_mhz"),
+        (dict(g_true_mhz=-1.0), "g_true_mhz"),
     ],
 )
 def test_semantic_violations_name_their_key(tmp_path, overrides, key):
@@ -230,6 +234,7 @@ def test_read_record_errors_carry_line_numbers(tmp_path):
         ({"t_us": 1.5, "channel": 1}, "outside"),
         ({"t_us": 0.5}, "needs"),
         ({"t_us": 0.5, "channel": 1, "extra": 0}, "unknown"),
+        ({"t_us": 0.5, "channel": 1.0}, "channel"),
     ],
 )
 def test_read_record_rejects_bad_events(tmp_path, event, message):

@@ -125,8 +125,24 @@ def test_model_arrays_are_read_only(small_model):
         dict(g0=1.0, gamma_perp=1.0, kappa=1.0, epsilon=-2.0),
         dict(g0=1.0, gamma_perp=1.0, kappa=1.0, epsilon=0.0, n_trunc=0),
         dict(g0=float("inf"), gamma_perp=1.0, kappa=1.0, epsilon=0.0),
+        dict(g0=1.0, gamma_perp=1.0, kappa=1.0, epsilon=0.0, n_trunc=2.5),
+        dict(g0=1.0, gamma_perp=1.0, kappa=1.0, epsilon=0.0, n_trunc=True),
     ],
 )
 def test_params_validation(kwargs):
     with pytest.raises(InvalidParametersError):
         ModelParams(**kwargs)
+
+
+def test_params_take_numpy_integers_and_name_the_field_at_fault():
+    params = ModelParams(g0=1.0, gamma_perp=1.0, kappa=1.0, epsilon=0.0, n_trunc=np.int64(3))
+    assert type(params.n_trunc) is int
+    assert params == ModelParams(g0=1.0, gamma_perp=1.0, kappa=1.0, epsilon=0.0, n_trunc=3)
+    for kwargs, field in [
+        (dict(g0=1.0, gamma_perp=1.0, kappa=1.0, epsilon=-2.0), "epsilon"),
+        (dict(g0=1.0, gamma_perp=0.0, kappa=0.0, epsilon=0.0), "kappa"),
+        (dict(g0=1.0, gamma_perp=1.0, kappa=1.0, epsilon=0.0, n_trunc=2.5), "n_trunc"),
+    ]:
+        with pytest.raises(InvalidParametersError) as err:
+            ModelParams(**kwargs)
+        assert err.value.field == field
