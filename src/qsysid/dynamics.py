@@ -39,6 +39,7 @@ from .model import (
     EffectiveHamiltonian,
     Model,
     _check_integer,
+    _finite,
     effective_hamiltonian,
     ground_vacuum,
     shift_form,
@@ -454,8 +455,8 @@ class ClassicalRecord:
     """One photodetection record: observation window plus (time, channel) events.
 
     channels: 0 = atomic fluorescence side channel, 1 = cavity output channel.
-    A record is valid once constructed: `__post_init__` runs `validate`, and
-    checks the channel values before they are cast to int64.
+    A record is valid once constructed: `__post_init__` runs `validate` on
+    the channels before their int64 cast and on the window before its float cast.
     """
 
     t0: float
@@ -465,9 +466,15 @@ class ClassicalRecord:
     metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        object.__setattr__(self, "times", np.array(self.times, dtype=float))
+        try:
+            object.__setattr__(self, "times", np.array(self.times, dtype=float))
+        except OverflowError:  # an integer past the float range
+            i, t = next((i, t) for i, t in enumerate(self.times) if not _finite(t))
+            raise FormatError(f"event {i} time must be a finite number, got {t!r}", event=i) from None
         object.__setattr__(self, "channels", np.array(self.channels))
         self.validate()
+        object.__setattr__(self, "t0", float(self.t0))
+        object.__setattr__(self, "tf", float(self.tf))
         object.__setattr__(self, "channels", self.channels.astype(np.int64))
         self.times.flags.writeable = False
         self.channels.flags.writeable = False
@@ -479,28 +486,26 @@ class ClassicalRecord:
     def validate(self) -> None:
         """Raise FormatError if the record violates its structural contract;
         for the first faulty event, with its index as `FormatError.event`."""
-        if not (math.isfinite(self.t0) and math.isfinite(self.tf)):
+        if not (_finite(self.t0) and _finite(self.tf)):
             raise FormatError(f"record window must be finite, got [{self.t0}, {self.tf}]")
         if self.tf < self.t0:
             raise FormatError(f"record window is reversed: tf={self.tf} < t0={self.t0}")
         if self.times.ndim != 1 or self.channels.shape != self.times.shape:
             raise FormatError("event times and channels must be 1-d arrays of equal length")
-        t, c = self.times, self.channels
-        bad = ~np.isfinite(t) | ~((c == 0) | (c == 1)) | (t < self.t0) | (t > self.tf)
-        bad[1:] |= ~(t[1:] > t[:-1])
-        if not bad.any():
-            return
-        i = int(np.argmax(bad))
-        t_i, c_i = float(t[i]), c.tolist()[i]
-        if not math.isfinite(t_i):
-            message = f"event {i} time must be a finite number, got {t_i!r}"
-        elif c_i not in (0, 1):
-            message = f"event {i} channel must be 0 or 1, got {c_i!r}"
-        elif not self.t0 <= t_i <= self.tf:
-            message = f"event {i} time {t_i} outside window [{self.t0}, {self.tf}]"
-        else:
-            message = f"event times must be strictly increasing ({float(t[i - 1])} then {t_i})"
-        raise FormatError(message, event=i)
+        previous = None
+        for i, (t, c) in enumerate(zip(self.times.tolist(), self.channels.tolist())):
+            if not math.isfinite(t):
+                message = f"event {i} time must be a finite number, got {t!r}"
+            elif c not in (0, 1):
+                message = f"event {i} channel must be 0 or 1, got {c!r}"
+            elif not self.t0 <= t <= self.tf:
+                message = f"event {i} time {t} outside window [{self.t0}, {self.tf}]"
+            elif previous is not None and not t > previous:
+                message = f"event times must be strictly increasing ({previous} then {t})"
+            else:
+                previous = t
+                continue
+            raise FormatError(message, event=i)
 
     def digest(self) -> str:
         """Short content hash identifying this record."""

@@ -7,16 +7,15 @@ unknown keys are rejected by name rather than silently ignored.
 This module checks only what a file alone can get wrong: JSON shape, value
 types, unknown and missing keys, and the schema. Every range rule is held
 once, by the type or check that owns the value (`ModelParams`, `GGrid`,
-the window and cut-time checks, `ClassicalRecord`, which is valid by
-construction); their errors are mapped here to a config key or a record
-line.
+the window, cut-time and integer checks, `ClassicalRecord`, which is valid
+by construction); their errors are mapped here to a config key or a record
+line. Only `g_true_mhz` >= 0 belongs to no type and is compared here.
 """
 
 from __future__ import annotations
 
 import csv
 import json
-import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -24,7 +23,7 @@ from .dynamics import ClassicalRecord, _check_window
 from .ensemble import ConvergenceStats, MleHistogram
 from .errors import ConfigError, FormatError, InvalidParametersError
 from .inference import GGrid, LikelihoodSurface, _check_cut_times, default_grid, posterior
-from .model import ModelParams
+from .model import ModelParams, _check_integer, _finite
 
 CONFIG_SCHEMA = "qsysid-config/1"
 RECORD_SCHEMA = "qsysid-record/1"
@@ -46,13 +45,12 @@ _CONFIG_KEYS = {
     "refine",
 }
 _GRID_KEYS = {"min_mhz", "max_mhz", "step_mhz"}
-# the config key behind each parameter a domain type or check names as its field
+# the config key of each field a domain type or check names, where the two differ
 _FIELD_KEYS = {
     "g0": "g0_mhz",
     "gamma_perp": "gamma_perp_mhz",
     "kappa": "kappa_mhz",
     "epsilon": "epsilon_mhz",
-    "n_trunc": "n_trunc",
     "g_min": "grid.min_mhz",
     "g_max": "grid.max_mhz",
     "step": "grid.step_mhz",
@@ -99,7 +97,7 @@ class Config:
 def _as_number(value, key: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"expected a number, got {value!r}", key=key)
-    if not math.isfinite(value):
+    if not _finite(value):
         raise ConfigError(f"expected a finite number, got {value!r}", key=key)
     return float(value)
 
@@ -130,7 +128,7 @@ def parse_config(path) -> Config:
         raise ConfigError(f"cannot read config file: {exc}") from exc
     try:
         raw = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer too long to parse
         raise ConfigError(f"invalid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("config top level must be a JSON object")
@@ -153,10 +151,6 @@ def parse_config(path) -> Config:
     n_traj = _as_int(_required(raw, "n_traj"), "n_traj")
     if g_true < 0:
         raise ConfigError(f"must be >= 0, got {g_true}", key="g_true_mhz")
-    if seed < 0:
-        raise ConfigError(f"must be >= 0, got {seed}", key="seed")
-    if n_traj < 1:
-        raise ConfigError(f"must be >= 1, got {n_traj}", key="n_traj")
 
     grid_bounds = None
     if "grid" in raw:
@@ -181,13 +175,15 @@ def parse_config(path) -> Config:
 
     # the range rules live with the types that hold the values
     try:
+        _check_integer("seed", seed, 0)
+        _check_integer("n_traj", n_traj, 1)
         params = ModelParams(g0, gamma_perp, kappa, epsilon, n_trunc)
         grid = default_grid(params) if grid_bounds is None else GGrid(*grid_bounds)
         _check_window(t0, tf)
         if checkpoints is not None:
             _check_cut_times(checkpoints, t0, tf)
     except InvalidParametersError as exc:
-        raise ConfigError(str(exc), key=_FIELD_KEYS.get(exc.field)) from None
+        raise ConfigError(str(exc), key=_FIELD_KEYS.get(exc.field, exc.field)) from None
 
     return Config(
         g0=g0,
@@ -241,7 +237,7 @@ def read_record(path) -> ClassicalRecord:
         raise FormatError(f"cannot read record file: {exc}") from exc
     try:
         raw = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer too long to parse
         raise FormatError(f"invalid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise FormatError("record top level must be a JSON object")
@@ -286,7 +282,7 @@ def read_record(path) -> ClassicalRecord:
         times.append(t)
         channels.append(c)
     try:
-        return ClassicalRecord(float(t0), float(tf), times, channels, metadata)
+        return ClassicalRecord(t0, tf, times, channels, metadata)
     except FormatError as exc:
         if exc.event is None:
             raise

@@ -40,17 +40,23 @@ class ModelParams:
     def __post_init__(self):
         for name in ("g0", "gamma_perp", "kappa", "epsilon"):
             value = getattr(self, name)
-            if not math.isfinite(value) or value < 0:
+            if not _finite(value) or value < 0:
                 raise InvalidParametersError(
                     f"{name} must be finite and >= 0, got {value}", field=name
                 )
         if self.kappa + self.gamma_perp <= 0:
             raise InvalidParametersError(
-                "kappa + gamma_perp must be > 0: the model needs at least one "
-                "decay channel",
-                field="kappa",
+                "kappa + gamma_perp must be > 0: the model needs at least one decay channel", field="kappa"
             )
         object.__setattr__(self, "n_trunc", _check_integer("n_trunc", self.n_trunc, 1))
+
+
+def _finite(value) -> bool:
+    """math.isfinite, but False for an integer too large for a float."""
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
 
 
 def _check_integer(name: str, value, minimum: int) -> int:

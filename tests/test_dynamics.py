@@ -352,6 +352,12 @@ def test_record_validate_rejects_malformed():
     with pytest.raises(FormatError, match="finite") as err:
         ClassicalRecord(t0=0.0, tf=1.0, times=np.array([0.2, np.inf]), channels=np.array([0, 1]))
     assert err.value.event == 1
+    # an integer past the float range is named as a faulty event, not an OverflowError
+    with pytest.raises(FormatError, match="event 1 time must be a finite number") as err:
+        ClassicalRecord(t0=0.0, tf=1.0, times=[0.2, 10**400], channels=[0, 1])
+    assert err.value.event == 1
+    with pytest.raises(FormatError, match="window must be finite"):
+        ClassicalRecord(t0=0, tf=10**400, times=[], channels=[])
     whole = ClassicalRecord(t0=0.0, tf=1.0, times=[0.2, 0.5], channels=np.array([0.0, 1.0]))
     assert whole.channels.dtype == np.int64
     np.testing.assert_array_equal(whole.channels, [0, 1])

@@ -142,6 +142,8 @@ def test_missing_required_key_named(tmp_path):
         (dict(kappa_mhz=-1.0), "kappa_mhz"),
         (dict(epsilon_mhz=-1.0), "epsilon_mhz"),
         (dict(g_true_mhz=-1.0), "g_true_mhz"),
+        (dict(g0_mhz=10**400), "g0_mhz"),  # past the float range
+        (dict(n_traj=2.5), "n_traj"),
     ],
 )
 def test_semantic_violations_name_their_key(tmp_path, overrides, key):
@@ -163,6 +165,15 @@ def test_invalid_json_reports_config_error(tmp_path):
     path.write_text('["a", "list"]')
     with pytest.raises(ConfigError, match="object"):
         parse_config(path)
+
+
+def test_json_integer_past_the_digit_limit_is_invalid_json(tmp_path):
+    path = tmp_path / "long.json"
+    path.write_text('{"g0_mhz": 1' + "0" * 5000 + "}")
+    with pytest.raises(ConfigError, match="invalid JSON"):
+        parse_config(path)
+    with pytest.raises(FormatError, match="invalid JSON"):
+        read_record(path)
 
 
 # -------------------------------------------------------------------- record
@@ -225,6 +236,17 @@ def test_read_record_errors_carry_line_numbers(tmp_path):
     assert '"t_us": 0.2' in lines[err.value.line - 1]
 
 
+def test_read_record_keeps_an_integer_window_and_reads_it_as_floats(tmp_path):
+    obj = {"t0_us": 0, "tf_us": 1, "events": [{"t_us": 0.5, "channel": 1}]}
+    record = read_record(write_json(tmp_path, obj, "good.json"))
+    assert (record.t0, record.tf) == (0.0, 1.0)
+    assert type(record.t0) is float and type(record.tf) is float
+    obj["events"].append({"t_us": 2, "channel": 0})
+    with pytest.raises(FormatError, match=r"event 1 time 2\.0 outside window \[0, 1\]") as err:
+        read_record(write_json(tmp_path, obj, "bad.json"))
+    assert err.value.line is not None
+
+
 @pytest.mark.parametrize(
     "event,message",
     [
@@ -235,6 +257,7 @@ def test_read_record_errors_carry_line_numbers(tmp_path):
         ({"t_us": 0.5}, "needs"),
         ({"t_us": 0.5, "channel": 1, "extra": 0}, "unknown"),
         ({"t_us": 0.5, "channel": 1.0}, "channel"),
+        ({"t_us": 10**400, "channel": 1}, "time"),  # past the float range
     ],
 )
 def test_read_record_rejects_bad_events(tmp_path, event, message):

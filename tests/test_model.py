@@ -142,6 +142,7 @@ def test_params_take_numpy_integers_and_name_the_field_at_fault():
         (dict(g0=1.0, gamma_perp=1.0, kappa=1.0, epsilon=-2.0), "epsilon"),
         (dict(g0=1.0, gamma_perp=0.0, kappa=0.0, epsilon=0.0), "kappa"),
         (dict(g0=1.0, gamma_perp=1.0, kappa=1.0, epsilon=0.0, n_trunc=2.5), "n_trunc"),
+        (dict(g0=10**400, gamma_perp=1.0, kappa=1.0, epsilon=0.0), "g0"),  # past the float range
     ]:
         with pytest.raises(InvalidParametersError) as err:
             ModelParams(**kwargs)
