@@ -133,11 +133,9 @@ def _prepare(model: Model, values) -> tuple[Propagator, tuple[Detector, Detector
     """The stacked no-detection propagator of the couplings in values and,
     per detection channel, the collapse operator as that propagator applies
     it."""
-    prop = Propagator.stack(
-        [prepare_propagator(effective_hamiltonian(model, float(g))) for g in values]
-    )
-    # built after the per-candidate list above is freed: the collapses in
-    # the eigenbasis take as much memory again as the basis and its inverse
+    prop = prepare_propagator(effective_hamiltonian(model, np.asarray(values, dtype=float)))
+    # built after the stacked H is freed: the collapses in the eigenbasis
+    # take as much memory again as the basis and its inverse
     return prop, (Detector(prop, model.c0), Detector(prop, model.c1))
 
 

@@ -45,7 +45,7 @@ def ground_vacuum_density(model: Model) -> MasterState:
 
 
 def _rhs_factory(model: Model, g: float):
-    a = effective_hamiltonian(model, g).real_generator()
+    a = effective_hamiltonian(model, g).generator
     # (C rho C^T)[i, j] = scale[i] * scale[j] * rho[source[i], source[j]]
     shifts = [(src[:, None] * model.dim + src, np.outer(scale, scale))
               for src, scale in map(shift_form, (model.c0, model.c1))]

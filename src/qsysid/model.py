@@ -125,38 +125,45 @@ def ground_vacuum(model: Model) -> np.ndarray:
 
 @dataclass(frozen=True)
 class EffectiveHamiltonian:
-    """Non-Hermitian generator of the between-detections evolution (rad/us)."""
+    """Non-Hermitian generator of the between-detections evolution (rad/us),
+    H = i*A, held as the real A: one (dim, dim) matrix for a coupling g, or
+    an (n, dim, dim) stack for an array of n couplings. Every coupling of
+    this model gives a real A; a complex one (an H with a real part) is
+    invalid."""
 
-    matrix: np.ndarray
-    g: float
+    generator: np.ndarray
+    g: float | np.ndarray
 
-    def real_generator(self) -> np.ndarray:
-        """The real A = -i*H of this model's H = i*A; an H with a real part is invalid."""
-        if np.any(self.matrix.real):
+    def __post_init__(self):
+        if np.iscomplexobj(self.generator):
             raise InvalidParametersError("effective Hamiltonian must be i*A with A real; it has a real part")
-        return self.matrix.imag
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """H = i*A."""
+        return 1j * self.generator
 
 
-def effective_hamiltonian(model: Model, g: float) -> EffectiveHamiltonian:
+def effective_hamiltonian(model: Model, g: float | np.ndarray) -> EffectiveHamiltonian:
     """Build H(g) = i*g*(a sig+ - a^dag sig-) + i*eps*(a - a^dag)
-    - i*kappa*a^dag a - i*gamma_perp*sig+ sig-, all rates angular.
+    - i*kappa*a^dag a - i*gamma_perp*sig+ sig-, all rates angular, as the
+    real A = -i*H, for a coupling g or, stacked, for each of an array of
+    them: the parts that do not depend on g are built once, and the g-term's
+    pattern is scaled per coupling.
 
     The anti-Hermitian part satisfies H - H^dag = -i*(c0^dag c0 + c1^dag c1),
     so the norm of a no-detection state decays at the total detection rate.
     """
-    if not math.isfinite(g) or g < 0:
+    couplings = np.asarray(g, dtype=float)
+    if not np.all(np.isfinite(couplings) & (couplings >= 0)):
         raise InvalidParametersError(f"coupling g must be finite and >= 0, got {g}")
-    p = model.params
-    g_w = TWO_PI * g
-    eps_w = TWO_PI * p.epsilon
-    a = model.op_a
-    sm = model.op_sigma_minus
-    ad = a.conj().T
-    sp = sm.conj().T
-    h = (1j * g_w) * (a @ sp - ad @ sm)
-    h += (1j * eps_w) * (a - ad)
+    a = model.op_a.real  # every operator of the model is real
+    sm = model.op_sigma_minus.real
+    c0, c1 = model.c0.real, model.c1.real
     # damping assembled from the collapse operators (not kappa*a^dag a etc.)
     # so the decay identity in the docstring holds to the last bit
-    h -= 0.5j * (model.c0.conj().T @ model.c0 + model.c1.conj().T @ model.c1)
-    h.flags.writeable = False
-    return EffectiveHamiltonian(matrix=h, g=g)
+    rest = (TWO_PI * model.params.epsilon) * (a - a.T) - 0.5 * (c0.T @ c0 + c1.T @ c1)
+    # the g-term shares no entry with the rest, so adding it is exact
+    generator = (TWO_PI * couplings[..., None, None]) * (a @ sm.T - a.T @ sm) + rest
+    generator.flags.writeable = False
+    return EffectiveHamiltonian(generator=generator, g=g)

@@ -15,7 +15,6 @@ from qsysid import (
     InvalidParametersError,
     ModelParams,
     NumericError,
-    Propagator,
     basis_index,
     build_model,
     conditional_states,
@@ -103,9 +102,7 @@ def test_coordinate_detections_match_collapse_at_operating_dimension(cavity_para
     # (relative) of C psi, and exactly zero where C psi is
     params = dataclasses.replace(cavity_params, n_trunc=n_trunc)
     model = build_model(params)
-    prop = Propagator.stack([
-        prepare_propagator(effective_hamiltonian(model, float(g))) for g in default_grid(params).values[::4]
-    ])
+    prop = prepare_propagator(effective_hamiltonian(model, default_grid(params).values[::4]))
     assert prop.method == METHOD_EIG
     start = np.tile(ground_vacuum(model).real, (len(prop.eig), 1))
     coords = prop.turn(prop.to_coords(start), 100.0 / max_total_decay_rate(model))
@@ -130,7 +127,7 @@ def test_path_check_reference_matches_scipy_expm(cavity_model, g, tau):
 
 def test_defective_hamiltonian_falls_back():
     # A = -i*H is a Jordan block, which has no eigenbasis; the fallback needs none
-    jordan = EffectiveHamiltonian(matrix=np.array([[0, 1j], [0, 0]]), g=0.0)
+    jordan = EffectiveHamiltonian(generator=np.array([[0.0, 1.0], [0.0, 0.0]]), g=0.0)
     prop = prepare_propagator(jordan)
     assert prop.method == METHOD_FALLBACK
     np.testing.assert_allclose(prop.evolve(np.array([[0.0, 1.0]]), 0.5)[0], [0.5, 1.0], atol=1e-12)
@@ -151,11 +148,10 @@ def test_vanishing_coupling_scores_like_dense_oracle(small_model, g):
 
 def test_hamiltonian_with_a_real_part_is_rejected(small_model):
     # both paths work on the real A = -i*H, as every coupling of the model
-    # gives; a detuning term would add a real part
+    # gives; a detuning term would add a real part, which the type rejects
     h = effective_hamiltonian(small_model, 2.0).matrix + np.diag(np.arange(small_model.dim, dtype=float))
-    for method in (None, METHOD_EIG, METHOD_FALLBACK):
-        with pytest.raises(InvalidParametersError, match="real part"):
-            prepare_propagator(EffectiveHamiltonian(matrix=h, g=2.0), method)
+    with pytest.raises(InvalidParametersError, match="real part"):
+        EffectiveHamiltonian(generator=-1j * h, g=2.0)
 
 
 @pytest.mark.parametrize("g", [0.0, 2.0])
@@ -244,11 +240,10 @@ def test_evolve_matches_dense_expm(small_model, rng):
 
 
 def test_stacked_propagator_evolves_each_row_like_its_member(small_model, rng):
-    members = [
-        prepare_propagator(effective_hamiltonian(small_model, g), method)
-        for g, method in ((1.0, METHOD_FALLBACK), (2.0, METHOD_EIG), (3.0, METHOD_FALLBACK))
-    ]
-    stack = Propagator.stack(members)
+    # the vanishing couplings fall back (`_eig_error`'s O(g) atom share)
+    couplings = np.array([1e-9, 2.0, 1e-6])
+    members = [prepare_propagator(effective_hamiltonian(small_model, float(g))) for g in couplings]
+    stack = prepare_propagator(effective_hamiltonian(small_model, couplings))
     np.testing.assert_array_equal(stack.eig, [False, True, False])
     with pytest.raises(InvalidParametersError):
         stack.method

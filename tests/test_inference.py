@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+import qsysid.dynamics
 import qsysid.inference
 from qsysid import (
     METHOD_EIG,
@@ -133,7 +134,8 @@ def test_surface_matches_dense_trace_at_operating_dimension(cavity_model):
     for method in (METHOD_EIG, METHOD_FALLBACK):
         with forced_path(method) as built:
             surf = likelihood_surface(cavity_model, record, grid)
-        assert [p.method for p in built] == [method] * grid.n
+        assert [p.method for p in built] == [method]  # one preparation for the grid
+        assert len(built[0].eig) == grid.n
         for got, ref in zip(surf.loglik, want):
             assert abs(got - ref) <= 1e-8, method
 
@@ -205,6 +207,52 @@ def test_default_grid_matches_chunked_oracle_at_largest_truncation():
             assert got == -np.inf
         else:
             assert got == pytest.approx(want, rel=1e-9, abs=1e-9), g
+
+
+def _prepared_with_errors(model, couplings):
+    """`_prepare` of the couplings, and the path-check errors it chose by."""
+    errors = []
+
+    def spy(a, prop, check=qsysid.dynamics._eig_error):
+        errors.append(check(a, prop))
+        return errors[-1]
+
+    with patch.object(qsysid.dynamics, "_eig_error", spy):
+        prop, detectors = qsysid.inference._prepare(model, couplings)
+    (error,) = errors
+    return prop, detectors, error
+
+
+HEADLINE = dict(g0=57.0, gamma_perp=2.5, kappa=30.0, epsilon=44.3)
+
+
+# the headline default grid (g 0 included, a nonzero pattern of its own) and
+# a default grid with one candidate on the fallback
+@pytest.mark.parametrize("params", [
+    ModelParams(**HEADLINE, n_trunc=18),
+    ModelParams(**HEADLINE, n_trunc=30),
+    ModelParams(**HEADLINE, n_trunc=40),
+    ModelParams(g0=20.0, gamma_perp=5.0, kappa=3.0, epsilon=10.0, n_trunc=18),
+], ids=["headline-18", "headline-30", "headline-40", "fallback-rows"])
+def test_grid_preparation_gives_each_candidate_its_lone_bits(params):
+    # bytes, so that a zero's sign counts too
+    model = build_model(params)
+    values = default_grid(params).values
+    stack, stack_detectors, stack_error = _prepared_with_errors(model, values)
+    assert stack.eig.any() and (params.g0 == 57.0) == stack.eig.all()
+    eig_row, fallback_row = np.cumsum(stack.eig) - 1, np.cumsum(~stack.eig) - 1
+    for i, g in enumerate(values):
+        prop, detectors, error = _prepared_with_errors(model, [g])
+        assert stack_error[i:i + 1].tobytes() == error.tobytes()
+        assert stack.eig[i] == prop.eig[0]
+        if prop.eig[0]:
+            j = eig_row[i]
+            for name in ("eigvals", "basis", "basis_inv", "partner"):
+                assert getattr(stack, name)[j].tobytes() == getattr(prop, name)[0].tobytes(), (g, name)
+            for in_stack, alone in zip(stack_detectors, detectors):
+                assert in_stack._in_basis[j].tobytes() == alone._in_basis[0].tobytes(), g
+        else:
+            assert stack.a[fallback_row[i]].tobytes() == prop.a[0].tobytes(), g
 
 
 # the second grid's first candidate falls back (`_eig_error`'s vanishing
