@@ -226,8 +226,9 @@ class Detector:
         self._propagator = propagator
 
     def on_states(self, states: np.ndarray) -> np.ndarray:
-        """C psi for each row of an (n, dim) stack."""
-        return self._scale * states[:, self._source]
+        """C psi for each row of an (n, dim) stack, in C order: a row's norm
+        then sums in the order it does for the row alone."""
+        return self._scale * states.take(self._source, axis=1)
 
     def on_coords(self, coords: np.ndarray) -> np.ndarray:
         """C applied to the `to_coords` form of the propagator's stack."""

@@ -268,6 +268,16 @@ def test_surface_matches_scalar_likelihood(small_model, grid):
         assert surf.loglik[k] == log_likelihood(small_model, record, float(g))
 
 
+def test_surface_matches_scalar_likelihood_at_operating_dimension(cavity_model):
+    # at dim 62 too, a candidate scores the same bits on any grid: a stack's
+    # collapsed rows are normed in the order of a row alone
+    record = simulate_record(cavity_model, 45.0, 0.0, 0.3, seed=1)
+    assert record.n_events == 163
+    grid = GGrid(40.0, 50.0, 1.0)
+    for g, got in zip(grid.values, likelihood_surface(cavity_model, record, grid).loglik):
+        assert got == log_likelihood(cavity_model, record, float(g)), g
+
+
 def test_likelihood_invariant_under_evaluation_cadence(small_model):
     record = simulate_record(small_model, 3.0, 0.0, 1.0, seed=22)
     grid = GGrid(0.5, 5.5, 0.5)
