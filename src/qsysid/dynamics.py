@@ -495,7 +495,7 @@ class ClassicalRecord:
     def __post_init__(self):
         try:
             object.__setattr__(self, "times", np.array(self.times, dtype=float))
-        except OverflowError:  # an integer past the float range
+        except (OverflowError, TypeError, ValueError):  # an integer past the float range, or no number
             i, t = next((i, t) for i, t in enumerate(self.times) if not _finite(t))
             raise FormatError(f"event {i} time must be a finite number, got {t!r}", event=i) from None
         object.__setattr__(self, "channels", np.array(self.channels))
@@ -514,7 +514,7 @@ class ClassicalRecord:
         """Raise FormatError if the record violates its structural contract;
         for the first faulty event, with its index as `FormatError.event`."""
         if not (_finite(self.t0) and _finite(self.tf)):
-            raise FormatError(f"record window must be finite, got [{self.t0}, {self.tf}]")
+            raise FormatError(f"record window must be finite, got [{self.t0!r}, {self.tf!r}]")
         if self.tf < self.t0:
             raise FormatError(f"record window is reversed: tf={self.tf} < t0={self.t0}")
         if self.times.ndim != 1 or self.channels.shape != self.times.shape:

@@ -33,7 +33,7 @@ import numpy as np
 from .dynamics import (_RENORM_LOG_BUDGET, ClassicalRecord, Detector, Propagator,
                        max_total_decay_rate, prepare_propagator)
 from .errors import InvalidParametersError, NoEstimateError, NumericError
-from .model import Model, ModelParams, effective_hamiltonian, ground_vacuum
+from .model import Model, ModelParams, _finite, effective_hamiltonian, ground_vacuum
 
 DEFAULT_GRID_MIN = 0.0
 DEFAULT_GRID_STEP = 0.5
@@ -50,8 +50,8 @@ class GGrid:
 
     def __post_init__(self):
         for name in ("g_min", "g_max", "step"):
-            if not math.isfinite(getattr(self, name)):
-                raise InvalidParametersError(f"{name} must be finite", field=name)
+            if not _finite(getattr(self, name)):
+                raise InvalidParametersError(f"{name} must be finite, got {getattr(self, name)!r}", field=name)
         if self.g_min < 0:
             raise InvalidParametersError(f"g_min must be >= 0, got {self.g_min}", field="g_min")
         if self.g_max <= self.g_min:

@@ -42,7 +42,7 @@ class ModelParams:
             value = getattr(self, name)
             if not _finite(value) or value < 0:
                 raise InvalidParametersError(
-                    f"{name} must be finite and >= 0, got {value}", field=name
+                    f"{name} must be finite and >= 0, got {value!r}", field=name
                 )
         if self.kappa + self.gamma_perp <= 0:
             raise InvalidParametersError(
@@ -52,10 +52,11 @@ class ModelParams:
 
 
 def _finite(value) -> bool:
-    """math.isfinite, but False for an integer too large for a float."""
+    """math.isfinite, but False for an integer too large for a float and
+    for a value that is no real number."""
     try:
         return math.isfinite(value)
-    except OverflowError:
+    except (OverflowError, TypeError):
         return False
 
 

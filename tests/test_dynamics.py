@@ -353,6 +353,12 @@ def test_record_validate_rejects_malformed():
     assert err.value.event == 1
     with pytest.raises(FormatError, match="window must be finite"):
         ClassicalRecord(t0=0, tf=10**400, times=[], channels=[])
+    # a value that is no number is named as the faulty event, or the window
+    with pytest.raises(FormatError, match="event 0 time must be a finite number") as err:
+        ClassicalRecord(t0=0, tf=1, times=["a"], channels=[1])
+    assert err.value.event == 0
+    with pytest.raises(FormatError, match="window must be finite"):
+        ClassicalRecord(t0="0", tf=1, times=[], channels=[])
     whole = ClassicalRecord(t0=0.0, tf=1.0, times=[0.2, 0.5], channels=np.array([0.0, 1.0]))
     assert whole.channels.dtype == np.int64
     np.testing.assert_array_equal(whole.channels, [0, 1])

@@ -96,6 +96,7 @@ def test_grid_values_read_only():
         (0.0, 2.0, 0.0),
         (0.0, 2.0, -0.5),
         (0.0, float("inf"), 0.5),
+        ("0", 1.0, 0.5),
     ],
 )
 def test_grid_validation(args):

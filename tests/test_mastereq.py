@@ -99,13 +99,16 @@ def test_complex_start_evolves_its_real_part_like_a_real_start(coupled_model):
 
 def _assert_liouvillian_matches_oracle(model, g, rho):
     """The real-arithmetic rhs against the dense complex formula, to the
-    rounding of a length-dim sum of the largest products that enter it."""
+    rounding of a length-dim sum of the largest products that enter it,
+    plus one subnormal per term, which is all a product can lose to
+    underflow."""
     got = qsysid.mastereq._rhs_factory(model, g)(rho)
     want = complex_liouvillian(model, g)(rho)
     row_sums = [np.abs(op).sum(axis=1).max() for op in (model.c0, model.c1)]
     h_rows = np.abs(effective_hamiltonian(model, g).matrix).sum(axis=1).max()
     scale = (2.0 * h_rows + sum(r * r for r in row_sums)) * np.abs(rho).max()
-    assert np.abs(got - want).max() <= model.dim * np.finfo(float).eps * scale
+    bound = model.dim * np.finfo(float).eps * scale + model.dim * np.finfo(float).smallest_subnormal
+    assert np.abs(got - want).max() <= bound
 
 
 @pytest.mark.parametrize("real", [True, False], ids=["real-symmetric", "complex-Hermitian"])
@@ -132,14 +135,11 @@ def test_liouvillian_matches_complex_oracle(n_trunc, kappa, gamma_perp, epsilon,
     _assert_liouvillian_matches_oracle(model, g, rho)
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="the oracle bound has no underflow term: it underflows to 0 at a subnormal rate (ROADMAP item 3)",
-)
 def test_liouvillian_matches_complex_oracle_at_subnormal_rate():
-    # a falsifying example of the property above: at kappa 5e-324 the rhs is
-    # one subnormal (5e-324) off the oracle, while the bound
-    # dim * eps * scale is 6 * 2.2e-16 * 3.7e-322, which rounds to 0
+    # a falsifying example of the property above without the bound's
+    # underflow term: at kappa 5e-324 the rhs is one subnormal (5e-324) off
+    # the oracle, while dim * eps * scale is 6 * 2.2e-16 * 3.7e-322, which
+    # rounds to 0
     model = build_model(ModelParams(g0=57.0, gamma_perp=0.0, kappa=5e-324, epsilon=0.0, n_trunc=2))
     _assert_liouvillian_matches_oracle(model, 0.0, random_hermitian(np.random.default_rng(0), model.dim, False))
 

@@ -127,6 +127,7 @@ def test_model_arrays_are_read_only(small_model):
         dict(g0=float("inf"), gamma_perp=1.0, kappa=1.0, epsilon=0.0),
         dict(g0=1.0, gamma_perp=1.0, kappa=1.0, epsilon=0.0, n_trunc=2.5),
         dict(g0=1.0, gamma_perp=1.0, kappa=1.0, epsilon=0.0, n_trunc=True),
+        dict(g0="57", gamma_perp=1.0, kappa=1.0, epsilon=0.0, n_trunc=3),
     ],
 )
 def test_params_validation(kwargs):
@@ -143,6 +144,7 @@ def test_params_take_numpy_integers_and_name_the_field_at_fault():
         (dict(g0=1.0, gamma_perp=0.0, kappa=0.0, epsilon=0.0), "kappa"),
         (dict(g0=1.0, gamma_perp=1.0, kappa=1.0, epsilon=0.0, n_trunc=2.5), "n_trunc"),
         (dict(g0=10**400, gamma_perp=1.0, kappa=1.0, epsilon=0.0), "g0"),  # past the float range
+        (dict(g0="57", gamma_perp=1.0, kappa=1.0, epsilon=0.0, n_trunc=3), "g0"),  # no number
     ]:
         with pytest.raises(InvalidParametersError) as err:
             ModelParams(**kwargs)
