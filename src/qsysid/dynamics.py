@@ -67,7 +67,7 @@ class Propagator:
 
     Every array carries a leading candidate axis; one coupling is a stack of
     1. The interval operator is the real exp(A*tau), as H = i*A with A real
-    (`prepare_propagator` rejects any other H). Rows flagged in `eig`
+    (`EffectiveHamiltonian` holds no other H). Rows flagged in `eig`
     evolve in the real eigenbasis of A: the columns of `basis` (W) are Re v
     and Im v for each conjugate pair (v, conj v) of eigenvectors of A (v for
     a real one), `basis_inv` is W^-1, `partner` links the two columns of a
@@ -413,7 +413,7 @@ def prepare_propagator(hamiltonian: EffectiveHamiltonian, method: str | None = N
                 _block_eig(a[i], blocks[pattern], eigvals[i], basis[i], basis_inv[i], partner[i])
             except np.linalg.LinAlgError:
                 eigvals[i] = 0.0  # no mode decays: the check reads inf
-        prop = Propagator(np.ones(n, dtype=bool), eigvals, basis, basis_inv, partner, a[:0])
+        prop = Propagator(np.ones(n, dtype=bool), eigvals, basis, basis_inv, partner, np.empty((0, dim, dim)))
         error = _eig_error(a, prop)
         eig = error <= EIG_TOLERANCE
         if eig.all():

@@ -134,7 +134,7 @@ def _prepare(model: Model, values) -> tuple[Propagator, tuple[Detector, Detector
     per detection channel, the collapse operator as that propagator applies
     it."""
     prop = prepare_propagator(effective_hamiltonian(model, np.asarray(values, dtype=float)))
-    # built after the stacked H is freed: the collapses in the eigenbasis
+    # built after the stacked A is freed: the collapses in the eigenbasis
     # take as much memory again as the basis and its inverse
     return prop, (Detector(prop, model.c0), Detector(prop, model.c1))
 

@@ -165,6 +165,7 @@ def effective_hamiltonian(model: Model, g: float | np.ndarray) -> EffectiveHamil
     # so the decay identity in the docstring holds to the last bit
     rest = (TWO_PI * model.params.epsilon) * (a - a.T) - 0.5 * (c0.T @ c0 + c1.T @ c1)
     # the g-term shares no entry with the rest, so adding it is exact
-    generator = (TWO_PI * couplings[..., None, None]) * (a @ sm.T - a.T @ sm) + rest
+    generator = (TWO_PI * couplings[..., None, None]) * (a @ sm.T - a.T @ sm)
+    generator += rest
     generator.flags.writeable = False
     return EffectiveHamiltonian(generator=generator, g=g)
