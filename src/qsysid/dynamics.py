@@ -170,14 +170,14 @@ class Propagator:
     def turn(self, coords: np.ndarray, tau) -> np.ndarray:
         """The (n, dim) `to_coords` form after a no-detection interval tau >=
         0, one for the whole stack or an (n,) array of one per row."""
-        if np.ndim(tau) == 0:
-            return self._by_path(lambda y: self._turn_eig(y, tau), lambda s: self._expm_evolve(s, tau), coords)
-        return self._by_path(lambda y, t: self._turn_eig(y, np.repeat(t, self._first_counts)),
-                             lambda s, t: self._expm_evolve(s, t[:, None, None]), coords, tau)
+        if isinstance(tau, np.ndarray):  # per row, repeated over its first columns
+            return self._by_path(lambda y, t: self._turn_eig(y, np.repeat(t, self._first_counts)),
+                                 lambda s, t: self._expm_evolve(s, t[:, None, None]), coords, tau)
+        return self._by_path(lambda y: self._turn_eig(y, tau), lambda s: self._expm_evolve(s, tau), coords)
 
     def _turn_eig(self, y: np.ndarray, tau) -> np.ndarray:
         """Eigen rows: the coordinates turned through tau, one for all or one
-        per first column (each row's repeated; the same product either way)."""
+        per first column (the same product per column either way)."""
         turns = np.exp(tau * self._first_rates)[self._first_of].reshape(y.shape)
         return self._turned(y, turns.real, turns.imag * self._imag_sign)
 
