@@ -27,6 +27,7 @@ error beyond the bisection width.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
 from dataclasses import dataclass, field
@@ -112,6 +113,12 @@ class Propagator:
         self._first_of = (np.cumsum(first.ravel()) - 1)[leader]  # index into _first_rates
         self._first_counts = first.sum(axis=1)
         self._imag_sign = np.where(first, 1.0, -1.0)
+
+    @classmethod
+    def stack(cls, propagators) -> "Propagator":
+        """One propagator over the candidates of several, in order."""
+        names = ("eig", "eigvals", "basis", "basis_inv", "partner", "a")
+        return cls(*(np.concatenate([getattr(p, n) for p in propagators]) for n in names))
 
     @property
     def method(self) -> str:
@@ -235,11 +242,14 @@ class Detector:
         return self._propagator._by_path(lambda y: _matvec(self._in_basis, y), self.on_states, coords)
 
 
-def _blocks(a: np.ndarray) -> list[np.ndarray]:
-    """The rows of each connected block of A's nonzero pattern, in order of
-    their smallest index."""
-    dim = len(a)
-    link = ((a != 0) | (a.T != 0) | np.eye(dim, dtype=bool)).astype(float)
+@functools.lru_cache(maxsize=8)
+def _blocks(pattern: bytes, dim: int) -> tuple[np.ndarray, ...]:
+    """The rows of each connected block of a (dim, dim) nonzero pattern (the
+    bytes of A != 0), in order of their smallest index. Found once per
+    pattern: a grid's candidates share few (two on the default grid, g = 0
+    and g > 0)."""
+    nonzero = np.frombuffer(pattern, dtype=bool).reshape(dim, dim)
+    link = (nonzero | nonzero.T | np.eye(dim, dtype=bool)).astype(float)
     reach = link
     while True:  # squaring doubles the path length covered
         wider = ((reach @ reach) > 0).astype(float)
@@ -247,7 +257,10 @@ def _blocks(a: np.ndarray) -> list[np.ndarray]:
             break
         reach = wider
     labels = reach.argmax(axis=1)  # the smallest index each row reaches
-    return [np.flatnonzero(labels == label) for label in np.unique(labels)]
+    blocks = tuple(np.flatnonzero(labels == label) for label in np.unique(labels))
+    for rows in blocks:
+        rows.flags.writeable = False  # shared by every caller of the pattern
+    return blocks
 
 
 def _block_eig(a, blocks, mu, basis, basis_inv, partner) -> None:
@@ -387,9 +400,9 @@ def prepare_propagator(hamiltonian: EffectiveHamiltonian, method: str | None = N
     candidate (mainly for cross-checking the two in tests); a forced
     eigendecomposition that fails the check raises NumericError.
 
-    The blocks are found once per nonzero pattern of A, the check's probes
-    evolve on the whole stack, and every candidate gets the bits it gets
-    alone.
+    The blocks are found once per nonzero pattern of A, across calls, the
+    check's probes evolve on the whole stack, and every candidate gets the
+    bits it gets alone.
     """
     a = np.asarray(hamiltonian.generator, dtype=float)
     if not np.all(np.isfinite(a)):
@@ -404,13 +417,10 @@ def prepare_propagator(hamiltonian: EffectiveHamiltonian, method: str | None = N
     partner = np.tile(np.arange(dim), (n, 1))
     eig = np.zeros(n, dtype=bool)
     if method != METHOD_FALLBACK:
-        blocks = {}  # per nonzero pattern of A
         for i in range(n):
-            pattern = (a[i] != 0).tobytes()
-            if pattern not in blocks:
-                blocks[pattern] = _blocks(a[i])
+            blocks = _blocks((a[i] != 0).tobytes(), dim)
             try:
-                _block_eig(a[i], blocks[pattern], eigvals[i], basis[i], basis_inv[i], partner[i])
+                _block_eig(a[i], blocks, eigvals[i], basis[i], basis_inv[i], partner[i])
             except np.linalg.LinAlgError:
                 eigvals[i] = 0.0  # no mode decays: the check reads inf
         prop = Propagator(np.ones(n, dtype=bool), eigvals, basis, basis_inv, partner, np.empty((0, dim, dim)))

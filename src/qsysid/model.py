@@ -13,6 +13,7 @@ index 0.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass
@@ -84,6 +85,22 @@ class Model:
     c0: np.ndarray
     c1: np.ndarray
 
+    @functools.cached_property
+    def _generator_parts(self) -> tuple[np.ndarray, np.ndarray]:
+        """(rest, pattern) with A(g) = TWO_PI * g * pattern + rest (see
+        `effective_hamiltonian`), built on first use and then shared by
+        every coupling of this model."""
+        a = self.op_a.real  # every operator of the model is real
+        sm = self.op_sigma_minus.real
+        c0, c1 = self.c0.real, self.c1.real
+        # damping assembled from the collapse operators (not kappa*a^dag a etc.)
+        # so the decay identity in `effective_hamiltonian` holds to the last bit
+        rest = (TWO_PI * self.params.epsilon) * (a - a.T) - 0.5 * (c0.T @ c0 + c1.T @ c1)
+        pattern = a @ sm.T - a.T @ sm
+        for part in (rest, pattern):
+            part.flags.writeable = False
+        return rest, pattern
+
 
 def basis_index(n: int, s: int) -> int:
     """Flatten (photon number, atomic level) into a basis index."""
@@ -149,8 +166,8 @@ def effective_hamiltonian(model: Model, g: float | np.ndarray) -> EffectiveHamil
     """Build H(g) = i*g*(a sig+ - a^dag sig-) + i*eps*(a - a^dag)
     - i*kappa*a^dag a - i*gamma_perp*sig+ sig-, all rates angular, as the
     real A = -i*H, for a coupling g or, stacked, for each of an array of
-    them: the parts that do not depend on g are built once, and the g-term's
-    pattern is scaled per coupling.
+    them: the parts that do not depend on g are built once per model, and
+    the g-term's pattern is scaled per coupling.
 
     The anti-Hermitian part satisfies H - H^dag = -i*(c0^dag c0 + c1^dag c1),
     so the norm of a no-detection state decays at the total detection rate.
@@ -158,14 +175,9 @@ def effective_hamiltonian(model: Model, g: float | np.ndarray) -> EffectiveHamil
     couplings = np.asarray(g, dtype=float)
     if not np.all(np.isfinite(couplings) & (couplings >= 0)):
         raise InvalidParametersError(f"coupling g must be finite and >= 0, got {g}")
-    a = model.op_a.real  # every operator of the model is real
-    sm = model.op_sigma_minus.real
-    c0, c1 = model.c0.real, model.c1.real
-    # damping assembled from the collapse operators (not kappa*a^dag a etc.)
-    # so the decay identity in the docstring holds to the last bit
-    rest = (TWO_PI * model.params.epsilon) * (a - a.T) - 0.5 * (c0.T @ c0 + c1.T @ c1)
+    rest, pattern = model._generator_parts
     # the g-term shares no entry with the rest, so adding it is exact
-    generator = (TWO_PI * couplings[..., None, None]) * (a @ sm.T - a.T @ sm)
+    generator = (TWO_PI * couplings[..., None, None]) * pattern
     generator += rest
     generator.flags.writeable = False
     return EffectiveHamiltonian(generator=generator, g=g)

@@ -78,9 +78,8 @@ def test_run_ensemble_is_deterministic(tiny_ensemble):
 
 
 def test_run_ensemble_prepares_the_grid_once(monkeypatch):
-    # the 5 grid candidates in one stacked call, then one coupling per
-    # simulated trajectory; each trajectory's estimates are those of scoring
-    # its record alone
+    # 5 grid candidates once, then one coupling per simulated trajectory;
+    # each trajectory's estimates are those of scoring its record alone
     model = build_model(ModelParams(g0=6.0, gamma_perp=0.8, kappa=1.5, epsilon=2.0, n_trunc=6))
     grid = GGrid(1.0, 5.0, 1.0)
     calls = []
@@ -88,8 +87,8 @@ def test_run_ensemble_prepares_the_grid_once(monkeypatch):
         original = module.prepare_propagator
         monkeypatch.setattr(module, "prepare_propagator", lambda h, f=original: calls.append(h.g) or f(h))
     result = run_ensemble(model, 3.0, grid, n_traj=3, t0=0.0, tf=1.0, checkpoints=(0.5, 1.0), master_seed=7)
-    assert len(calls) == 1 + 3
-    np.testing.assert_array_equal(calls[0], grid.values)
+    assert len(calls) == grid.n + 3
+    np.testing.assert_array_equal(calls[:grid.n], grid.values)
     monkeypatch.undo()
     for seed, estimates in zip(result.seeds, result.estimates):
         record = simulate_record(model, 3.0, 0.0, 1.0, seed)

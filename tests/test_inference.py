@@ -135,8 +135,7 @@ def test_surface_matches_dense_trace_at_operating_dimension(cavity_model):
     for method in (METHOD_EIG, METHOD_FALLBACK):
         with forced_path(method) as built:
             surf = likelihood_surface(cavity_model, record, grid)
-        assert [p.method for p in built] == [method]  # one preparation for the grid
-        assert len(built[0].eig) == grid.n
+        assert [p.method for p in built] == [method] * grid.n
         for got, ref in zip(surf.loglik, want):
             assert abs(got - ref) <= 1e-8, method
 
@@ -210,8 +209,8 @@ def test_default_grid_matches_chunked_oracle_at_largest_truncation():
             assert got == pytest.approx(want, rel=1e-9, abs=1e-9), g
 
 
-def _prepared_with_errors(model, couplings):
-    """`_prepare` of the couplings, and the path-check errors it chose by."""
+def _prepared_with_errors(prepare):
+    """What prepare() returns, and the path-check errors it chose by."""
     errors = []
 
     def spy(a, prop, check=qsysid.dynamics._eig_error):
@@ -219,9 +218,8 @@ def _prepared_with_errors(model, couplings):
         return errors[-1]
 
     with patch.object(qsysid.dynamics, "_eig_error", spy):
-        prop, detectors = qsysid.inference._prepare(model, couplings)
-    (error,) = errors
-    return prop, detectors, error
+        prepared = prepare()
+    return prepared, np.concatenate(errors)
 
 
 HEADLINE = dict(g0=57.0, gamma_perp=2.5, kappa=30.0, epsilon=44.3)
@@ -236,24 +234,19 @@ HEADLINE = dict(g0=57.0, gamma_perp=2.5, kappa=30.0, epsilon=44.3)
     ModelParams(g0=20.0, gamma_perp=5.0, kappa=3.0, epsilon=10.0, n_trunc=18),
 ], ids=["headline-18", "headline-30", "headline-40", "fallback-rows"])
 def test_grid_preparation_gives_each_candidate_its_lone_bits(params):
-    # bytes, so that a zero's sign counts too
+    # `_prepare` prepares candidate by candidate; one call on the stack of A
+    # gives the same bytes, so that a zero's sign counts too
     model = build_model(params)
     values = default_grid(params).values
-    stack, stack_detectors, stack_error = _prepared_with_errors(model, values)
-    assert stack.eig.any() and (params.g0 == 57.0) == stack.eig.all()
-    eig_row, fallback_row = np.cumsum(stack.eig) - 1, np.cumsum(~stack.eig) - 1
-    for i, g in enumerate(values):
-        prop, detectors, error = _prepared_with_errors(model, [g])
-        assert stack_error[i:i + 1].tobytes() == error.tobytes()
-        assert stack.eig[i] == prop.eig[0]
-        if prop.eig[0]:
-            j = eig_row[i]
-            for name in ("eigvals", "basis", "basis_inv", "partner"):
-                assert getattr(stack, name)[j].tobytes() == getattr(prop, name)[0].tobytes(), (g, name)
-            for in_stack, alone in zip(stack_detectors, detectors):
-                assert in_stack._in_basis[j].tobytes() == alone._in_basis[0].tobytes(), g
-        else:
-            assert stack.a[fallback_row[i]].tobytes() == prop.a[0].tobytes(), g
+    (prop, detectors), error = _prepared_with_errors(lambda: qsysid.inference._prepare(model, values))
+    stack, stack_error = _prepared_with_errors(lambda: prepare_propagator(effective_hamiltonian(model, values)))
+    assert len(error) == len(values)
+    assert prop.eig.any() and (params.g0 == 57.0) == prop.eig.all()
+    assert stack_error.tobytes() == error.tobytes()
+    for name in ("eig", "eigvals", "basis", "basis_inv", "partner", "a"):
+        assert getattr(stack, name).tobytes() == getattr(prop, name).tobytes(), name
+    for collapse, alone in zip((model.c0, model.c1), detectors):
+        assert qsysid.dynamics.Detector(stack, collapse)._in_basis.tobytes() == alone._in_basis.tobytes()
 
 
 # the second grid's first candidate falls back (`_eig_error`'s vanishing
