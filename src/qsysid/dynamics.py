@@ -111,7 +111,6 @@ class Propagator:
         self._first_rates = eigvals[first]
         leader = (np.minimum(partner, np.arange(dim)) + rows).ravel()
         self._first_of = (np.cumsum(first.ravel()) - 1)[leader]  # index into _first_rates
-        self._first_counts = first.sum(axis=1)
         self._imag_sign = np.where(first, 1.0, -1.0)
 
     @classmethod
@@ -143,9 +142,8 @@ class Propagator:
         out[~self.eig] = fallback_part
         return out
 
-    def _expm_evolve(self, states: np.ndarray, tau) -> np.ndarray:
-        """Fallback rows, to tau (a scalar, or (n, 1, 1) of one per row): a
-        Pade exponential per row."""
+    def _expm_evolve(self, states: np.ndarray, tau: float) -> np.ndarray:
+        """Fallback rows, to tau: a Pade exponential per row."""
         return _matvec(_expm(tau * self.a), states)
 
     def _coords(self, states: np.ndarray) -> np.ndarray:
@@ -174,19 +172,14 @@ class Propagator:
         """The states that the `to_coords` form holds (W y on eigen rows)."""
         return self._by_path(lambda y: _matvec(self.basis, y), np.copy, coords)
 
-    def turn(self, coords: np.ndarray, tau) -> np.ndarray:
-        """The (n, dim) `to_coords` form after a no-detection interval tau >=
-        0, one for the whole stack or an (n,) array of one per row."""
-        if isinstance(tau, np.ndarray):  # per row, repeated over its first columns
-            return self._by_path(lambda y, t: self._turn_eig(y, np.repeat(t, self._first_counts)),
-                                 lambda s, t: self._expm_evolve(s, t[:, None, None]), coords, tau)
-        return self._by_path(lambda y: self._turn_eig(y, tau), lambda s: self._expm_evolve(s, tau), coords)
+    def turn(self, coords: np.ndarray, tau: float) -> np.ndarray:
+        """The (n, dim) `to_coords` form after a no-detection interval tau >= 0."""
 
-    def _turn_eig(self, y: np.ndarray, tau) -> np.ndarray:
-        """Eigen rows: the coordinates turned through tau, one for all or one
-        per first column (the same product per column either way)."""
-        turns = np.exp(tau * self._first_rates)[self._first_of].reshape(y.shape)
-        return self._turned(y, turns.real, turns.imag * self._imag_sign)
+        def on_eig(y):
+            turns = np.exp(tau * self._first_rates)[self._first_of].reshape(y.shape)
+            return self._turned(y, turns.real, turns.imag * self._imag_sign)
+
+        return self._by_path(on_eig, lambda s: self._expm_evolve(s, tau), coords)
 
     def step(self, states: np.ndarray, coords: np.ndarray, tau: float) -> np.ndarray:
         """The states after an interval tau from `states`, whose `to_coords`
@@ -263,15 +256,19 @@ def _blocks(pattern: bytes, dim: int) -> tuple[np.ndarray, ...]:
     return blocks
 
 
-def _block_eig(a, blocks, mu, basis, basis_inv, partner) -> None:
-    """Write into mu, the zeroed basis and basis_inv and partner the
-    eigenvalues, real basis, inverse real basis and column partners that
-    `Propagator` keeps for one candidate, found from the real A in real
-    arithmetic, each of its connected blocks (`_blocks`) on its own, so
-    basis and inverse are exactly zero between blocks. LinAlgError where a
-    block's basis has no inverse."""
+def _block_eig(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The eigenvalues, real basis, inverse real basis and column partners
+    that `Propagator` keeps, found from the real A in real arithmetic, each
+    connected block of A's nonzero pattern (`_blocks`) on its own, so basis
+    and inverse are exactly zero between blocks. LinAlgError where a block's
+    basis has no inverse."""
+    dim = len(a)
+    mu = np.empty(dim, dtype=complex)
+    basis = np.zeros((dim, dim))
+    basis_inv = np.zeros((dim, dim))
+    partner = np.arange(dim)
     start = 0
-    for rows in blocks:
+    for rows in _blocks((a != 0).tobytes(), dim):
         cols = np.arange(start, start + rows.size)
         mu_b, v_b = np.linalg.eig(a[np.ix_(rows, rows)])
         pair = np.flatnonzero(mu_b.imag > 0)  # LAPACK lists each one's conjugate next
@@ -283,6 +280,7 @@ def _block_eig(a, blocks, mu, basis, basis_inv, partner) -> None:
         partner[cols[pair]] = cols[pair + 1]
         partner[cols[pair + 1]] = cols[pair]
         start += rows.size
+    return mu, basis, basis_inv, partner
 
 
 # Pade [13/13] coefficients (Higham 2005, as in scipy's expm)
@@ -327,12 +325,11 @@ def _expm(a: np.ndarray) -> np.ndarray:
     return r
 
 
-def _eig_error(a: np.ndarray, prop: Propagator) -> np.ndarray:
-    """Relative error of the eigen path per candidate of an (n, dim, dim)
-    stack of A, all on the eigen path in prop, as the scorer runs it
-    (coordinates, `turn`, back to states), on the states the scorer starts
-    from: the ground vacuum (basis state 0) and that state after one decay
-    time of the fastest mode, each evolved over that decay time and over
+def _eig_error(a: np.ndarray, prop: Propagator) -> float:
+    """Relative error of the eigen path, as the scorer runs it (coordinates,
+    `turn`, back to states), on the states the scorer starts from: the
+    ground vacuum (basis state 0) and that state after one decay time of the
+    fastest mode, each evolved over that decay time and over
     `_RENORM_LOG_BUDGET` of them, against `_expm(tau * A)`, the fallback's
     own evolution. The scorer's chunk is `_RENORM_LOG_BUDGET` over
     `max_total_decay_rate`, which is at least this rate, so the longer
@@ -347,93 +344,71 @@ def _eig_error(a: np.ndarray, prop: Propagator) -> np.ndarray:
     Fock ladder, which the scorer never holds, see cond(W) ~ 1e9 in full.
     After one decay time the shares are still growing from zero, and off by
     up to 1e-8 at the headline point (5e-12 over the longer interval).
-
-    The two reference exponentials are per candidate, each reduced at once
-    to the probes and their images; the probes then evolve on the whole
-    stack, one interval per row.
     """
-    n, dim = prop.partner.shape
-    rate = -2.0 * prop.eigvals.real.min(axis=1)
-    decays = np.isfinite(rate) & (rate > 0.0)
-    rate = np.where(decays, rate, np.inf)  # a row with no decay evolves over 0 and reads inf
+    mu, basis, basis_inv, partner = prop.eigvals[0], prop.basis[0], prop.basis_inv[0], prop.partner[0]
+    rate = -2.0 * float(mu.real.min())
+    if not (math.isfinite(rate) and rate > 0.0):
+        return math.inf
     taus = (1.0 / rate, _RENORM_LOG_BUDGET / rate)
-    probes = np.zeros((2, n, dim))
-    refs = np.zeros((2, 2, n, dim))  # per interval and probe, exp(tau * A) probe
-    exact_zeros = np.ones(n, dtype=bool)  # the eigen form is zero where the exponential is
-    for i in np.flatnonzero(decays):
-        mu, basis, basis_inv, partner = prop.eigvals[i], prop.basis[i], prop.basis_inv[i], prop.partner[i]
-        for k, tau in enumerate((taus[0][i], taus[1][i])):
-            want = _expm(tau * a[i])
-            if k == 0:
-                probe = np.stack([want[:, 0], np.eye(dim)[0]])
-                probes[:, i] = probe / np.linalg.norm(probe, axis=1)[:, None]
-            refs[k, :, i] = [want @ probe for probe in probes[:, i]]
-            zeros = want == 0
-            if np.any(zeros):
-                turns = np.exp(tau * mu)[:, None]
-                turned = basis @ (turns.real * basis_inv + turns.imag * basis_inv[partner])
-                exact_zeros[i] &= not np.any(turned[zeros] != 0)
-    index = np.arange(dim)
-    views = np.stack([np.ones(dim), index % 2, np.sqrt(index // 2)])  # all, atom, field
-    worst = np.zeros(n)
-    for tau, ref_k, n_views in zip(taus, refs, (1, 3)):
-        for probe, ref in zip(probes, ref_k):
-            got = prop.from_coords(prop.turn(prop.to_coords(probe), tau))
-            err, size = (np.linalg.norm(views[:n_views] * x[:, None], axis=-1) for x in (got - ref, ref))
+    exact = [_expm(tau * a) for tau in taus]
+    probes = np.stack([exact[0][:, 0], np.eye(len(a))[0]])
+    probes /= np.linalg.norm(probes, axis=1)[:, None]
+    index = np.arange(len(a))
+    views = np.stack([np.ones(len(a)), index % 2, np.sqrt(index // 2)])  # all, atom, field
+    worst = 0.0
+    for tau, want, n_views in zip(taus, exact, (1, 3)):
+        zeros = want == 0
+        if np.any(zeros):
+            turns = np.exp(tau * mu)[:, None]
+            turned = basis @ (turns.real * basis_inv + turns.imag * basis_inv[partner])
+            if np.any(turned[zeros] != 0):
+                return math.inf
+        for probe in probes:
+            got = prop.evolve(probe[None], tau)[0]
+            ref = want @ probe
+            err, size = (np.linalg.norm(views[:n_views] * x, axis=1) for x in (got - ref, ref))
             # a share whose norm underflows to 0 passes only without error
-            worst = np.fmax(worst, np.max(err / np.maximum(size, np.finfo(float).tiny), axis=1))
-    return np.where(decays & exact_zeros, worst, np.inf)
+            worst = max(worst, float(np.max(err / np.maximum(size, np.finfo(float).tiny))))
+    return worst
 
 
 def prepare_propagator(hamiltonian: EffectiveHamiltonian, method: str | None = None) -> Propagator:
-    """Diagonalize A = -i*H for exact interval evolution, for one coupling
-    (a stack of one) or for each of a stack of them.
+    """Diagonalize A = -i*H for exact interval evolution; a stack of one.
 
-    H is held as the real A (`EffectiveHamiltonian`). A candidate's real
-    eigenbasis of A (per connected block) is used when it evolves the
-    scorer's states to within EIG_TOLERANCE (relative) of the real Pade
-    exponential exp(A*tau) at the interval lengths the scorer runs (see
-    `_eig_error`) and keeps its exact zeros, so a forbidden event still
-    scores -inf. Otherwise the candidate evolves by that exponential per
-    interval length, which needs no eigenbasis (a defective A) but costs a
-    dense exponential per interval. `method` forces one path on every
-    candidate (mainly for cross-checking the two in tests); a forced
-    eigendecomposition that fails the check raises NumericError.
-
-    The blocks are found once per nonzero pattern of A, across calls, the
-    check's probes evolve on the whole stack, and every candidate gets the
-    bits it gets alone.
+    H is held as the real A (`EffectiveHamiltonian`). The real eigenbasis of
+    A (per connected block) is used when it evolves the scorer's states to
+    within EIG_TOLERANCE (relative) of the real Pade exponential exp(A*tau)
+    at the interval lengths the scorer runs (see `_eig_error`) and keeps
+    its exact zeros, so a forbidden event still scores -inf. Otherwise the
+    candidate evolves by that exponential per interval length, which needs
+    no eigenbasis (a defective A) but costs a dense exponential per
+    interval. `method` forces one path (mainly for cross-checking the two
+    in tests); a forced eigendecomposition that fails the check raises
+    NumericError.
     """
     a = np.asarray(hamiltonian.generator, dtype=float)
     if not np.all(np.isfinite(a)):
         raise NumericError("effective Hamiltonian contains non-finite entries")
     if method not in (None, METHOD_EIG, METHOD_FALLBACK):
         raise InvalidParametersError(f"unknown propagator method: {method!r}")
-    a = a.reshape((-1,) + a.shape[-2:])
-    n, dim = a.shape[:2]
-    eigvals = np.zeros((n, dim), dtype=complex)
-    basis = np.zeros((n, dim, dim))
-    basis_inv = np.zeros((n, dim, dim))
-    partner = np.tile(np.arange(dim), (n, 1))
-    eig = np.zeros(n, dtype=bool)
+    dim = len(a)
+    no_eig = (np.empty((0, dim), dtype=complex), np.empty((0, dim, dim)),
+              np.empty((0, dim, dim)), np.empty((0, dim), dtype=int))  # no rows on the eigen path
     if method != METHOD_FALLBACK:
-        for i in range(n):
-            blocks = _blocks((a[i] != 0).tobytes(), dim)
-            try:
-                _block_eig(a[i], blocks, eigvals[i], basis[i], basis_inv[i], partner[i])
-            except np.linalg.LinAlgError:
-                eigvals[i] = 0.0  # no mode decays: the check reads inf
-        prop = Propagator(np.ones(n, dtype=bool), eigvals, basis, basis_inv, partner, np.empty((0, dim, dim)))
-        error = _eig_error(a, prop)
-        eig = error <= EIG_TOLERANCE
-        if eig.all():
+        try:
+            parts = _block_eig(a)
+        except np.linalg.LinAlgError:
+            error = math.inf
+        else:
+            prop = Propagator(np.ones(1, dtype=bool), *(x[None] for x in parts), np.empty((0, dim, dim)))
+            error = _eig_error(a, prop)
+        if error <= EIG_TOLERANCE:
             return prop
         if method == METHOD_EIG:
             raise NumericError(
-                "eigendecomposition requested but unusable: off a Pade exponential by "
-                f"{error.max():.3g} (relative)"
+                f"eigendecomposition requested but unusable: off a Pade exponential by {error:.3g} (relative)"
             )
-    return Propagator(eig, eigvals[eig], basis[eig], basis_inv[eig], partner[eig], a[~eig])
+    return Propagator(np.zeros(1, dtype=bool), *no_eig, a[None].copy())
 
 
 def _check_window(t0: float, tf: float) -> None:

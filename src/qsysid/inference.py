@@ -132,11 +132,10 @@ def _row_norms_sq(states: np.ndarray) -> np.ndarray:
 def _prepare(model: Model, values) -> tuple[Propagator, tuple[Detector, Detector]]:
     """The stacked no-detection propagator of the couplings in values and,
     per detection channel, the collapse operator as that propagator applies
-    it. Each candidate is prepared on its own, so that a preparation takes
-    one path (`Propagator.method`) and is counted per candidate; what the
-    candidates share is built once per model (`effective_hamiltonian`'s
-    parts) and per nonzero pattern (A's blocks)."""
-    prop = Propagator.stack([prepare_propagator(effective_hamiltonian(model, float(g))) for g in values])
+    it."""
+    prop = Propagator.stack(
+        [prepare_propagator(effective_hamiltonian(model, float(g))) for g in values]
+    )
     # built after the per-candidate list above is freed: the collapses in
     # the eigenbasis take as much memory again as the basis and its inverse
     return prop, (Detector(prop, model.c0), Detector(prop, model.c1))

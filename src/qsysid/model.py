@@ -144,13 +144,11 @@ def ground_vacuum(model: Model) -> np.ndarray:
 @dataclass(frozen=True)
 class EffectiveHamiltonian:
     """Non-Hermitian generator of the between-detections evolution (rad/us),
-    H = i*A, held as the real A: one (dim, dim) matrix for a coupling g, or
-    an (n, dim, dim) stack for an array of n couplings. Every coupling of
-    this model gives a real A; a complex one (an H with a real part) is
-    invalid."""
+    H = i*A, held as the real A. Every coupling of this model gives a real
+    A; a complex one (an H with a real part) is invalid."""
 
     generator: np.ndarray
-    g: float | np.ndarray
+    g: float
 
     def __post_init__(self):
         if np.iscomplexobj(self.generator):
@@ -162,22 +160,20 @@ class EffectiveHamiltonian:
         return 1j * self.generator
 
 
-def effective_hamiltonian(model: Model, g: float | np.ndarray) -> EffectiveHamiltonian:
+def effective_hamiltonian(model: Model, g: float) -> EffectiveHamiltonian:
     """Build H(g) = i*g*(a sig+ - a^dag sig-) + i*eps*(a - a^dag)
     - i*kappa*a^dag a - i*gamma_perp*sig+ sig-, all rates angular, as the
-    real A = -i*H, for a coupling g or, stacked, for each of an array of
-    them: the parts that do not depend on g are built once per model, and
-    the g-term's pattern is scaled per coupling.
+    real A = -i*H: the parts that do not depend on g are built once per
+    model (`Model._generator_parts`), and the g-term's pattern is scaled.
 
     The anti-Hermitian part satisfies H - H^dag = -i*(c0^dag c0 + c1^dag c1),
     so the norm of a no-detection state decays at the total detection rate.
     """
-    couplings = np.asarray(g, dtype=float)
-    if not np.all(np.isfinite(couplings) & (couplings >= 0)):
+    if not math.isfinite(g) or g < 0:
         raise InvalidParametersError(f"coupling g must be finite and >= 0, got {g}")
     rest, pattern = model._generator_parts
     # the g-term shares no entry with the rest, so adding it is exact
-    generator = (TWO_PI * couplings[..., None, None]) * pattern
+    generator = (TWO_PI * g) * pattern
     generator += rest
     generator.flags.writeable = False
     return EffectiveHamiltonian(generator=generator, g=g)

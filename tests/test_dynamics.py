@@ -15,6 +15,7 @@ from qsysid import (
     InvalidParametersError,
     ModelParams,
     NumericError,
+    Propagator,
     basis_index,
     build_model,
     conditional_states,
@@ -102,7 +103,9 @@ def test_coordinate_detections_match_collapse_at_operating_dimension(cavity_para
     # (relative) of C psi, and exactly zero where C psi is
     params = dataclasses.replace(cavity_params, n_trunc=n_trunc)
     model = build_model(params)
-    prop = prepare_propagator(effective_hamiltonian(model, default_grid(params).values[::4]))
+    prop = Propagator.stack([
+        prepare_propagator(effective_hamiltonian(model, float(g))) for g in default_grid(params).values[::4]
+    ])
     assert prop.method == METHOD_EIG
     start = np.tile(ground_vacuum(model).real, (len(prop.eig), 1))
     coords = prop.turn(prop.to_coords(start), 100.0 / max_total_decay_rate(model))
@@ -240,10 +243,11 @@ def test_evolve_matches_dense_expm(small_model, rng):
 
 
 def test_stacked_propagator_evolves_each_row_like_its_member(small_model, rng):
-    # the vanishing couplings fall back (`_eig_error`'s O(g) atom share)
-    couplings = np.array([1e-9, 2.0, 1e-6])
-    members = [prepare_propagator(effective_hamiltonian(small_model, float(g))) for g in couplings]
-    stack = prepare_propagator(effective_hamiltonian(small_model, couplings))
+    members = [
+        prepare_propagator(effective_hamiltonian(small_model, g), method)
+        for g, method in ((1.0, METHOD_FALLBACK), (2.0, METHOD_EIG), (3.0, METHOD_FALLBACK))
+    ]
+    stack = Propagator.stack(members)
     np.testing.assert_array_equal(stack.eig, [False, True, False])
     with pytest.raises(InvalidParametersError):
         stack.method

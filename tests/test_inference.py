@@ -219,7 +219,7 @@ def _prepared_with_errors(prepare):
 
     with patch.object(qsysid.dynamics, "_eig_error", spy):
         prepared = prepare()
-    return prepared, np.concatenate(errors)
+    return prepared, errors
 
 
 HEADLINE = dict(g0=57.0, gamma_perp=2.5, kappa=30.0, epsilon=44.3)
@@ -234,19 +234,26 @@ HEADLINE = dict(g0=57.0, gamma_perp=2.5, kappa=30.0, epsilon=44.3)
     ModelParams(g0=20.0, gamma_perp=5.0, kappa=3.0, epsilon=10.0, n_trunc=18),
 ], ids=["headline-18", "headline-30", "headline-40", "fallback-rows"])
 def test_grid_preparation_gives_each_candidate_its_lone_bits(params):
-    # `_prepare` prepares candidate by candidate; one call on the stack of A
-    # gives the same bytes, so that a zero's sign counts too
+    # each row of a grid's preparation holds the bytes of that candidate's
+    # lone preparation, so that a zero's sign counts too
     model = build_model(params)
     values = default_grid(params).values
-    (prop, detectors), error = _prepared_with_errors(lambda: qsysid.inference._prepare(model, values))
-    stack, stack_error = _prepared_with_errors(lambda: prepare_propagator(effective_hamiltonian(model, values)))
-    assert len(error) == len(values)
+    (prop, detectors), errors = _prepared_with_errors(lambda: qsysid.inference._prepare(model, values))
+    assert len(errors) == len(values)
     assert prop.eig.any() and (params.g0 == 57.0) == prop.eig.all()
-    assert stack_error.tobytes() == error.tobytes()
-    for name in ("eig", "eigvals", "basis", "basis_inv", "partner", "a"):
-        assert getattr(stack, name).tobytes() == getattr(prop, name).tobytes(), name
-    for collapse, alone in zip((model.c0, model.c1), detectors):
-        assert qsysid.dynamics.Detector(stack, collapse)._in_basis.tobytes() == alone._in_basis.tobytes()
+    eig_row, fallback_row = np.cumsum(prop.eig) - 1, np.cumsum(~prop.eig) - 1
+    for k, (g, error) in enumerate(zip(values, errors)):
+        lone, (lone_error,) = _prepared_with_errors(partial(prepare_propagator, effective_hamiltonian(model, float(g))))
+        assert lone_error == error, g
+        assert prop.eig[k] == (lone.method == METHOD_EIG), g
+        if not prop.eig[k]:
+            assert prop.a[fallback_row[k]].tobytes() == lone.a[0].tobytes(), g
+            continue
+        for name in ("eigvals", "basis", "basis_inv", "partner"):
+            assert getattr(prop, name)[eig_row[k]].tobytes() == getattr(lone, name)[0].tobytes(), (g, name)
+        for collapse, detector in zip((model.c0, model.c1), detectors):
+            alone = qsysid.dynamics.Detector(lone, collapse)._in_basis[0]
+            assert detector._in_basis[eig_row[k]].tobytes() == alone.tobytes(), g
 
 
 # the second grid's first candidate falls back (`_eig_error`'s vanishing
