@@ -413,8 +413,8 @@ def prepare_propagator(hamiltonian: EffectiveHamiltonian, method: str | None = N
 
 def _check_window(t0: float, tf: float) -> None:
     """InvalidParametersError unless the window [t0, tf] is finite with tf > t0."""
-    if not (math.isfinite(t0) and math.isfinite(tf)) or not tf > t0:
-        raise InvalidParametersError(f"need tf > t0, got [{t0}, {tf}]", field="tf")
+    if not (_finite(t0) and _finite(tf)) or not tf > t0:
+        raise InvalidParametersError(f"need finite numbers with tf > t0, got [{t0!r}, {tf!r}]", field="tf")
 
 
 def max_total_decay_rate(model: Model) -> float:
@@ -468,7 +468,8 @@ class ClassicalRecord:
 
     channels: 0 = atomic fluorescence side channel, 1 = cavity output channel.
     A record is valid once constructed: `__post_init__` runs `validate` on
-    the channels before their int64 cast and on the window before its float cast.
+    the values as given, before the casts, which would read a string such
+    as "0.5" or a bool as a number and 1.9 as channel 1.
     """
 
     t0: float
@@ -478,16 +479,11 @@ class ClassicalRecord:
     metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        try:
-            object.__setattr__(self, "times", np.array(self.times, dtype=float))
-        except (OverflowError, TypeError, ValueError):  # an integer past the float range, or no number
-            i, t = next((i, t) for i, t in enumerate(self.times) if not _finite(t))
-            raise FormatError(f"event {i} time must be a finite number, got {t!r}", event=i) from None
-        object.__setattr__(self, "channels", np.array(self.channels))
         self.validate()
         object.__setattr__(self, "t0", float(self.t0))
         object.__setattr__(self, "tf", float(self.tf))
-        object.__setattr__(self, "channels", self.channels.astype(np.int64))
+        object.__setattr__(self, "times", np.array(self.times, dtype=float))
+        object.__setattr__(self, "channels", np.array(self.channels, dtype=np.int64))
         self.times.flags.writeable = False
         self.channels.flags.writeable = False
 
@@ -500,17 +496,20 @@ class ClassicalRecord:
         for the first faulty event, with its index as `FormatError.event`."""
         if not (_finite(self.t0) and _finite(self.tf)):
             raise FormatError(f"record window must be finite, got [{self.t0!r}, {self.tf!r}]")
-        if self.tf < self.t0:
+        t0, tf = float(self.t0), float(self.tf)
+        if tf < t0:
             raise FormatError(f"record window is reversed: tf={self.tf} < t0={self.t0}")
-        if self.times.ndim != 1 or self.channels.shape != self.times.shape:
+        # as objects, so every event keeps the type it was given
+        times, channels = (np.asarray(x, dtype=object) for x in (self.times, self.channels))
+        if times.ndim != 1 or channels.shape != times.shape:
             raise FormatError("event times and channels must be 1-d arrays of equal length")
         previous = None
-        for i, (t, c) in enumerate(zip(self.times.tolist(), self.channels.tolist())):
-            if not math.isfinite(t):
+        for i, (t, c) in enumerate(zip(times.tolist(), channels.tolist())):
+            if not _finite(t):
                 message = f"event {i} time must be a finite number, got {t!r}"
-            elif c not in (0, 1):
+            elif not _finite(c) or c not in (0, 1):
                 message = f"event {i} channel must be 0 or 1, got {c!r}"
-            elif not self.t0 <= t <= self.tf:
+            elif not t0 <= (t := float(t)) <= tf:
                 message = f"event {i} time {t} outside window [{self.t0}, {self.tf}]"
             elif previous is not None and not t > previous:
                 message = f"event times must be strictly increasing ({previous} then {t})"
@@ -560,7 +559,7 @@ def simulate_record(
     """
     _check_window(t0, tf)
     _check_integer("seed", seed, 0)
-    psi = ground_vacuum(model).real  # A and both collapse operators are real, so psi stays real
+    psi = ground_vacuum(model)  # A and both collapse operators are real, so psi stays real
     propagator = prepare_propagator(effective_hamiltonian(model, g_true))
     detectors = (Detector(propagator, model.c0), Detector(propagator, model.c1))
     rng = np.random.default_rng(seed)

@@ -22,10 +22,10 @@ def trajectory_seed(master_seed: int, index: int) -> int:
     return int.from_bytes(digest[:8], "little")
 
 
-def default_checkpoints(t0: float, tf: float, n: int = DEFAULT_N_CHECKPOINTS) -> tuple[float, ...]:
-    """n uniformly spaced checkpoint times over (t0, tf]."""
-    span = tf - t0
-    return tuple(t0 + span * (k + 1) / n for k in range(n))
+def default_checkpoints(t0: float, tf: float) -> tuple[float, ...]:
+    """DEFAULT_N_CHECKPOINTS uniformly spaced checkpoint times over (t0, tf]."""
+    n = DEFAULT_N_CHECKPOINTS
+    return tuple(t0 + (tf - t0) * (k + 1) / n for k in range(n))
 
 
 @dataclass(frozen=True)

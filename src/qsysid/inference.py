@@ -166,10 +166,13 @@ def _renormalize(rows: np.ndarray, loglik: np.ndarray, n2: np.ndarray) -> None:
 
 def _check_cut_times(times, t0: float, tf: float) -> np.ndarray:
     """The cut times as floats; InvalidParametersError, naming the rule,
-    unless they are finite, ascending and within [t0, tf]."""
-    times = np.asarray(times, dtype=float)
-    if not np.all(np.isfinite(times)):
-        raise InvalidParametersError("cut times must be finite", field="times")
+    unless they are a 1-d sequence of finite numbers (each checked before
+    the cast, which would read "0.1" or True as one), ascending and within
+    [t0, tf]."""
+    raw = np.asarray(times, dtype=object)  # as objects, so every time keeps its type
+    if raw.ndim != 1 or not all(map(_finite, raw.tolist())):
+        raise InvalidParametersError("cut times must be a 1-d sequence of finite numbers", field="times")
+    times = raw.astype(float)
     if np.any(np.diff(times) < 0):
         raise InvalidParametersError("cut times must be ascending", field="times")
     if times.size and (times[0] < t0 or times[-1] > tf):
@@ -216,7 +219,7 @@ def _score_record(
     decay = max_total_decay_rate(model)
     chunk = _RENORM_LOG_BUDGET / decay
     n_g = len(prop.eig)
-    start = np.tile(ground_vacuum(model).real, (n_g, 1))
+    start = np.tile(ground_vacuum(model), (n_g, 1))
     coords = prop.to_coords(start)
     loglik = np.zeros(n_g, dtype=float)
 
@@ -393,7 +396,8 @@ def estimate_time_series(
 
 
 def conditional_states(model: Model, g: float, record: ClassicalRecord, times) -> list[np.ndarray]:
-    """The normalized conditional state amplitudes at each query time.
+    """The normalized conditional state amplitudes (real, float64) at each
+    query time.
 
     The record is replayed under the coupling g by the scorer's pass, cut
     at the query times, so a state is exactly the one scoring the record
@@ -407,5 +411,5 @@ def conditional_states(model: Model, g: float, record: ClassicalRecord, times) -
                 f"one of the first {k} record events has zero weight under g={g}; "
                 f"the state at t={t} cannot be reconstructed"
             )
-        out.append(states[0].astype(complex))
+        out.append(states[0])
     return out

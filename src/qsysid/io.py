@@ -95,9 +95,7 @@ class Config:
 
 
 def _as_number(value, key: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"expected a number, got {value!r}", key=key)
-    if not _finite(value):
+    if not _finite(value):  # also a bool, a string or any other JSON value
         raise ConfigError(f"expected a finite number, got {value!r}", key=key)
     return float(value)
 
@@ -273,13 +271,10 @@ def read_record(path) -> ClassicalRecord:
             raise FormatError(
                 f"event {i} needs t_us and channel", line=_event_line(text, i)
             )
-        t = event["t_us"]
-        c = event["channel"]
-        if isinstance(t, bool) or not isinstance(t, (int, float)):
-            raise FormatError(f"event {i} time must be a finite number, got {t!r}", line=_event_line(text, i))
+        c = event["channel"]  # a JSON integer; the time's type is ClassicalRecord's to check
         if isinstance(c, bool) or not isinstance(c, int):
             raise FormatError(f"event {i} channel must be 0 or 1, got {c!r}", line=_event_line(text, i))
-        times.append(t)
+        times.append(event["t_us"])
         channels.append(c)
     try:
         return ClassicalRecord(t0, tf, times, channels, metadata)

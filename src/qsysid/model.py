@@ -8,7 +8,9 @@ field (amplitude) decay rates; the corresponding photon-flux rates are
 
 Basis convention: index i = 2*n + s with n the photon number (0..n_trunc)
 and s = 0 (atom ground) / 1 (atom excited). Ground atom in the vacuum is
-index 0.
+index 0. In this basis the operators, the start state and A = -i*H are
+all real, so they are stored as float64; only `EffectiveHamiltonian.matrix`
+forms the complex H.
 """
 
 from __future__ import annotations
@@ -53,8 +55,10 @@ class ModelParams:
 
 
 def _finite(value) -> bool:
-    """math.isfinite, but False for an integer too large for a float and
-    for a value that is no real number."""
+    """math.isfinite, but False for a bool (which casts read as 0 or 1), an
+    integer too large for a float and a value that is no real number."""
+    if isinstance(value, (bool, np.bool_)):
+        return False
     try:
         return math.isfinite(value)
     except (OverflowError, TypeError):
@@ -71,7 +75,8 @@ def _check_integer(name: str, value, minimum: int) -> int:
 
 @dataclass(frozen=True)
 class Model:
-    """Operator matrices on the truncated atom (x) cavity product space.
+    """Operator matrices on the truncated atom (x) cavity product space, all
+    real (float64) in the number basis.
 
     c0 (atomic fluorescence, channel 0) and c1 (cavity emission, channel 1)
     are the collapse operators in angular units, normalized so that
@@ -90,9 +95,7 @@ class Model:
         """(rest, pattern) with A(g) = TWO_PI * g * pattern + rest (see
         `effective_hamiltonian`), built on first use and then shared by
         every coupling of this model."""
-        a = self.op_a.real  # every operator of the model is real
-        sm = self.op_sigma_minus.real
-        c0, c1 = self.c0.real, self.c1.real
+        a, sm, c0, c1 = self.op_a, self.op_sigma_minus, self.c0, self.c1
         # damping assembled from the collapse operators (not kappa*a^dag a etc.)
         # so the decay identity in `effective_hamiltonian` holds to the last bit
         rest = (TWO_PI * self.params.epsilon) * (a - a.T) - 0.5 * (c0.T @ c0 + c1.T @ c1)
@@ -111,10 +114,10 @@ def build_model(params: ModelParams) -> Model:
     """Assemble annihilation, atomic lowering, and collapse operators."""
     n_levels = params.n_trunc + 1
     dim = 2 * n_levels
-    a_cavity = np.diag(np.sqrt(np.arange(1, n_levels, dtype=float)), k=1).astype(complex)
-    sm_atom = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
-    op_a = np.kron(a_cavity, np.eye(2, dtype=complex))
-    op_sm = np.kron(np.eye(n_levels, dtype=complex), sm_atom)
+    a_cavity = np.diag(np.sqrt(np.arange(1, n_levels, dtype=float)), k=1)
+    sm_atom = np.array([[0.0, 1.0], [0.0, 0.0]])
+    op_a = np.kron(a_cavity, np.eye(2))
+    op_sm = np.kron(np.eye(n_levels), sm_atom)
     c0 = math.sqrt(2.0 * TWO_PI * params.gamma_perp) * op_sm
     c1 = math.sqrt(2.0 * TWO_PI * params.kappa) * op_a
     for op in (op_a, op_sm, c0, c1):
@@ -135,8 +138,8 @@ def shift_form(collapse: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def ground_vacuum(model: Model) -> np.ndarray:
-    """Amplitudes of the ground atom in the cavity vacuum (basis index 0)."""
-    psi = np.zeros(model.dim, dtype=complex)
+    """Real amplitudes of the ground atom in the cavity vacuum (basis index 0)."""
+    psi = np.zeros(model.dim)
     psi[basis_index(0, ATOM_GROUND)] = 1.0
     return psi
 
@@ -169,8 +172,8 @@ def effective_hamiltonian(model: Model, g: float) -> EffectiveHamiltonian:
     The anti-Hermitian part satisfies H - H^dag = -i*(c0^dag c0 + c1^dag c1),
     so the norm of a no-detection state decays at the total detection rate.
     """
-    if not math.isfinite(g) or g < 0:
-        raise InvalidParametersError(f"coupling g must be finite and >= 0, got {g}")
+    if not _finite(g) or g < 0:
+        raise InvalidParametersError(f"coupling g must be finite and >= 0, got {g!r}")
     rest, pattern = model._generator_parts
     # the g-term shares no entry with the rest, so adding it is exact
     generator = (TWO_PI * g) * pattern

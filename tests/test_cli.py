@@ -162,6 +162,18 @@ def test_steadystate_reports_closed_form_values(tmp_path, capsys):
     assert values["flux_per_us"] == pytest.approx(2.0 * TWO_PI * 6.0, rel=1e-7)
 
 
+def test_steadystate_on_a_model_too_stiff_for_the_step_exits_3(tmp_path, capsys):
+    # kappa 100 MHz at n_trunc 30: the largest total decay rate times the
+    # fixed RK4 step is 3.77, past RK4's stability limit
+    cfg = dict(TOY_CONFIG, g0_mhz=57.0, gamma_perp_mhz=2.5, kappa_mhz=100.0, epsilon_mhz=44.3, n_trunc=30)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg) + "\n")
+    assert main(["steadystate", "--config", str(path), "--g", "45"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: trace became ")
+    assert "largest total decay rate" in err and "= 3.77; the model is too stiff for the fixed step" in err
+
+
 # --------------------------------------------------------------- exit codes
 
 
@@ -237,17 +249,29 @@ def test_impossible_record_exits_3(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-def test_module_entry_point(tmp_path, toy_config):
+def _run_python(*args):
     # the child does not inherit pytest's pythonpath, so hand it src/
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    out = tmp_path / "record.json"
-    proc = subprocess.run(
-        [sys.executable, "-m", "qsysid", "simulate", "--config", str(toy_config), "--out", str(out)],
-        capture_output=True,
-        text=True,
-        env={**os.environ, "PYTHONPATH": path},
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path}
     )
+
+
+def test_module_entry_point(tmp_path, toy_config):
+    out = tmp_path / "record.json"
+    proc = _run_python("-m", "qsysid", "simulate", "--config", str(toy_config), "--out", str(out))
     assert proc.returncode == 0
     assert "events" in proc.stdout
     assert out.exists()
+
+
+def test_package_imports_no_test_or_scipy_module():
+    # numpy is the only runtime dependency pyproject.toml lists
+    proc = _run_python(
+        "-c",
+        "import sys, qsysid, qsysid.cli; "
+        "print(sorted({name.partition('.')[0] for name in sys.modules} & {'scipy', 'hypothesis', 'pytest'}))",
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -363,6 +363,13 @@ def test_record_validate_rejects_malformed():
     assert err.value.event == 0
     with pytest.raises(FormatError, match="window must be finite"):
         ClassicalRecord(t0="0", tf=1, times=[], channels=[])
+    # nor is a string or a bool, which the casts would read as one
+    for times, channels, rule in [(["0.5"], [1], "time"), ([True], [1], "time"), ([0.5], [True], "channel")]:
+        with pytest.raises(FormatError, match=f"event 0 {rule} must be") as err:
+            ClassicalRecord(t0=0, tf=1, times=times, channels=channels)
+        assert err.value.event == 0
+    with pytest.raises(FormatError, match="window must be finite"):
+        ClassicalRecord(t0=True, tf=2, times=[], channels=[])
     whole = ClassicalRecord(t0=0.0, tf=1.0, times=[0.2, 0.5], channels=np.array([0.0, 1.0]))
     assert whole.channels.dtype == np.int64
     np.testing.assert_array_equal(whole.channels, [0, 1])
@@ -425,6 +432,8 @@ def test_simulate_rejects_bad_window(small_model):
         simulate_record(small_model, 1.0, t0=1.0, tf=1.0, seed=0)
     with pytest.raises(InvalidParametersError):
         simulate_record(small_model, 1.0, t0=0.0, tf=-1.0, seed=0)
+    with pytest.raises(InvalidParametersError):  # a bool is no time, though it casts to 0.0
+        simulate_record(small_model, 1.0, t0=False, tf=1.0, seed=0)
 
 
 def test_simulate_rejects_negative_seed(small_model):
@@ -530,6 +539,7 @@ def test_conditional_states_match_direct_replay(small_model, rng):
         psi = psi / np.linalg.norm(psi)
         np.testing.assert_allclose(state, psi, atol=1e-10)
         assert norm_sq(state) == pytest.approx(1.0, abs=1e-12)
+        assert state.dtype == np.float64
 
 
 def test_conditional_states_match_dense_replay_at_operating_dimension(cavity_model):

@@ -20,7 +20,7 @@ from qsysid import (
     summarize,
     trajectory_seed,
 )
-from qsysid.ensemble import EnsembleResult
+from qsysid.ensemble import DEFAULT_N_CHECKPOINTS, EnsembleResult
 
 
 @pytest.fixture(scope="module")
@@ -45,10 +45,11 @@ def test_trajectory_seeds_are_distinct():
 
 
 def test_default_checkpoints_cover_open_interval():
-    cps = default_checkpoints(0.0, 1.0, n=4)
-    assert cps == (0.25, 0.5, 0.75, 1.0)
-    cps = default_checkpoints(1.0, 3.0, n=2)
-    assert cps == (2.0, 3.0)
+    assert DEFAULT_N_CHECKPOINTS == 20
+    assert default_checkpoints(0.0, 1.0) == tuple(k / 20 for k in range(1, 21))
+    cps = default_checkpoints(1.0, 3.0)
+    assert len(cps) == 20 and cps[-1] == 3.0
+    np.testing.assert_allclose(cps, 1.0 + 0.1 * np.arange(1, 21), rtol=0, atol=1e-15)
 
 
 def test_run_ensemble_shapes_and_bookkeeping(tiny_ensemble):

@@ -97,6 +97,7 @@ def test_grid_values_read_only():
         (0.0, 2.0, -0.5),
         (0.0, float("inf"), 0.5),
         ("0", 1.0, 0.5),
+        (False, True, 0.5),
     ],
 )
 def test_grid_validation(args):
@@ -538,4 +539,11 @@ def test_time_series_rejects_bad_checkpoints(small_model):
         estimate_time_series(small_model, record, grid, [-0.1, 0.5])
     with pytest.raises(InvalidParametersError):
         estimate_time_series(small_model, record, grid, [0.2, float("nan")])
+    # each cut time is checked before the float cast, which reads these as numbers
+    with pytest.raises(InvalidParametersError, match="finite numbers"):
+        estimate_time_series(small_model, record, grid, ["0.1"])
+    with pytest.raises(InvalidParametersError, match="finite numbers"):
+        estimate_time_series(small_model, record, grid, [True])
+    with pytest.raises(InvalidParametersError, match="1-d sequence"):  # not consumed as empty
+        estimate_time_series(small_model, record, grid, (t for t in [0.5]))
     assert estimate_time_series(small_model, record, grid, []) == []

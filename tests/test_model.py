@@ -102,16 +102,20 @@ def test_effective_hamiltonian_rejects_bad_coupling(small_model):
         effective_hamiltonian(small_model, -1.0)
     with pytest.raises(InvalidParametersError):
         effective_hamiltonian(small_model, float("nan"))
+    with pytest.raises(InvalidParametersError):  # a bool is no coupling, though it casts to 1.0
+        effective_hamiltonian(small_model, True)
 
 
 def test_ground_vacuum_is_basis_state(small_model):
     psi = ground_vacuum(small_model)
+    assert psi.dtype == np.float64
     assert psi[basis_index(0, ATOM_GROUND)] == 1.0
     assert np.count_nonzero(psi) == 1
 
 
 def test_model_arrays_are_read_only(small_model):
     for arr in (small_model.op_a, small_model.op_sigma_minus, small_model.c0, small_model.c1):
+        assert arr.dtype == np.float64  # every operator is real in the number basis
         with pytest.raises(ValueError):
             arr[0, 0] = 1.0
 
@@ -128,6 +132,7 @@ def test_model_arrays_are_read_only(small_model):
         dict(g0=1.0, gamma_perp=1.0, kappa=1.0, epsilon=0.0, n_trunc=2.5),
         dict(g0=1.0, gamma_perp=1.0, kappa=1.0, epsilon=0.0, n_trunc=True),
         dict(g0="57", gamma_perp=1.0, kappa=1.0, epsilon=0.0, n_trunc=3),
+        dict(g0=True, gamma_perp=2.5, kappa=30.0, epsilon=44.3, n_trunc=3),
     ],
 )
 def test_params_validation(kwargs):
