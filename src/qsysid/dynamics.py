@@ -49,6 +49,7 @@ from .model import (
 EIG_TOLERANCE = 1e-10         # eigen-path error on the scorer's states, relative
 JUMP_TIME_TOL = 1e-9          # bisection window for jump times, us
 _RENORM_LOG_BUDGET = 100.0    # max |log norm^2| the scorer lets accumulate per chunk
+_CHECK_SQUARINGS = math.ceil(math.log2(_RENORM_LOG_BUDGET))  # path check: from <= 1/r to the long interval
 _MAX_BISECT = 200
 
 METHOD_EIG = "eigendecomposition"
@@ -106,7 +107,7 @@ class Propagator:
         rows = dim * np.arange(n)[:, None]
         self._partner_flat = (partner + rows).ravel()
         # a pair's second column turns by the conjugate of its first one's
-        # factor, so `turn` exponentiates the first columns (and real ones) only
+        # factor, so `_turned` takes the factor on the first columns (and real ones) only
         first = partner >= np.arange(dim)
         self._first_rates = eigvals[first]
         leader = (np.minimum(partner, np.arange(dim)) + rows).ravel()
@@ -157,10 +158,12 @@ class Propagator:
         """Eigen rows: each coordinate's pair partner."""
         return coords.reshape(-1)[self._partner_flat].reshape(coords.shape)
 
-    def _turned(self, coords: np.ndarray, real: np.ndarray, imag: np.ndarray) -> np.ndarray:
+    def _turned(self, coords: np.ndarray, f, tau: float) -> np.ndarray:
         """Eigen rows: coordinates weighted by the real and imaginary parts
-        of per-column turn factors, as an interval turns them."""
-        return real * coords + imag * self._partners(coords)
+        of the per-column factors f(mu tau) of an interval tau (np.exp to
+        turn them, np.expm1 for the change)."""
+        factors = f(tau * self._first_rates)[self._first_of].reshape(coords.shape)
+        return factors.real * coords + factors.imag * self._imag_sign * self._partners(coords)
 
     def to_coords(self, states: np.ndarray) -> np.ndarray:
         """The form the scorer and the simulator hold an (n, dim) state stack
@@ -174,12 +177,8 @@ class Propagator:
 
     def turn(self, coords: np.ndarray, tau: float) -> np.ndarray:
         """The (n, dim) `to_coords` form after a no-detection interval tau >= 0."""
-
-        def on_eig(y):
-            turns = np.exp(tau * self._first_rates)[self._first_of].reshape(y.shape)
-            return self._turned(y, turns.real, turns.imag * self._imag_sign)
-
-        return self._by_path(on_eig, lambda s: self._expm_evolve(s, tau), coords)
+        return self._by_path(lambda y: self._turned(y, np.exp, tau),
+                             lambda s: self._expm_evolve(s, tau), coords)
 
     def step(self, states: np.ndarray, coords: np.ndarray, tau: float) -> np.ndarray:
         """The states after an interval tau from `states`, whose `to_coords`
@@ -190,8 +189,7 @@ class Propagator:
         change is no larger than psi."""
 
         def on_eig(s, y):
-            turns = np.expm1(tau * self.eigvals)
-            return s + _matvec(self.basis, self._turned(y, turns.real, turns.imag))
+            return s + _matvec(self.basis, self._turned(y, np.expm1, tau))
 
         return self._by_path(on_eig, lambda s, y: self._expm_evolve(s, tau), states, coords)
 
@@ -269,16 +267,16 @@ def _block_eig(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.nd
     partner = np.arange(dim)
     start = 0
     for rows in _blocks((a != 0).tobytes(), dim):
-        cols = np.arange(start, start + rows.size)
-        mu_b, v_b = np.linalg.eig(a[np.ix_(rows, rows)])
+        cols = slice(start, start + rows.size)
+        mu_b, v_b = np.linalg.eig(a[rows][:, rows])
         pair = np.flatnonzero(mu_b.imag > 0)  # LAPACK lists each one's conjugate next
         w_b = v_b.real.copy()
         w_b[:, pair + 1] = v_b[:, pair].imag
         mu[cols] = mu_b
-        basis[np.ix_(rows, cols)] = w_b
-        basis_inv[np.ix_(cols, rows)] = np.linalg.inv(w_b)
-        partner[cols[pair]] = cols[pair + 1]
-        partner[cols[pair + 1]] = cols[pair]
+        basis[rows, cols] = w_b
+        basis_inv[cols, rows] = np.linalg.inv(w_b)
+        partner[start + pair] = start + pair + 1
+        partner[start + pair + 1] = start + pair
         start += rows.size
     return mu, basis, basis_inv, partner
 
@@ -326,49 +324,52 @@ def _expm(a: np.ndarray) -> np.ndarray:
 
 
 def _eig_error(a: np.ndarray, prop: Propagator) -> float:
-    """Relative error of the eigen path, as the scorer runs it (coordinates,
-    `turn`, back to states), on the states the scorer starts from: the
-    ground vacuum (basis state 0) and that state after one decay time of the
-    fastest mode, each evolved over that decay time and over
-    `_RENORM_LOG_BUDGET` of them, against `_expm(tau * A)`, the fallback's
-    own evolution. The scorer's chunk is `_RENORM_LOG_BUDGET` over
-    `max_total_decay_rate`, which is at least this rate, so the longer
-    interval spans at least one chunk (1.10 at the headline point). Over
-    it, also on the share of the state each detection channel sees and
-    renormalizes to: the excited atom, and the field weighted by sqrt(n)
-    (basis index 2n + s); as g -> 0 the atom's share is O(g) and its error
-    grows as 1/g. inf where the eigen form is not exactly zero wherever the
-    exponential is, or where no mode decays.
+    """Relative error of the eigen path, as the scorer runs it (refined
+    coordinates, turned, back to states), on the states the scorer starts
+    from: the ground vacuum (basis state 0) and that state after the short
+    interval, over two intervals from the fastest mode's decay rate r. The
+    long one, `_RENORM_LOG_BUDGET`/r, spans at least one scorer chunk (1.10
+    at the headline point), which is `_RENORM_LOG_BUDGET` over
+    `max_total_decay_rate` >= r; the short one is that over 2^k, k =
+    `_CHECK_SQUARINGS` (7: 0.78/r). The reference, the fallback's own
+    evolution, is one Pade exponential `_expm` over the short interval,
+    squared k times for the long one. Over the long one, also on the share
+    each detection channel renormalizes to: the excited atom, and the field
+    weighted by sqrt(n) (basis index 2n + s); as g -> 0 the atom's share is
+    O(g) and its error grows as 1/g. inf where the eigen form is not exactly
+    zero wherever a reference is (squaring keeps the zeros between blocks
+    of A), or where no mode decays.
 
     Per-element measures would be the wrong test: basis states high in the
     Fock ladder, which the scorer never holds, see cond(W) ~ 1e9 in full.
-    After one decay time the shares are still growing from zero, and off by
-    up to 1e-8 at the headline point (5e-12 over the longer interval).
+    Over the short interval the shares are still growing from zero, and off
+    by up to 6e-8 at the headline point (2e-12 over the long interval).
     """
     mu, basis, basis_inv, partner = prop.eigvals[0], prop.basis[0], prop.basis_inv[0], prop.partner[0]
     rate = -2.0 * float(mu.real.min())
     if not (math.isfinite(rate) and rate > 0.0):
         return math.inf
-    taus = (1.0 / rate, _RENORM_LOG_BUDGET / rate)
-    exact = [_expm(tau * a) for tau in taus]
-    probes = np.stack([exact[0][:, 0], np.eye(len(a))[0]])
-    probes /= np.linalg.norm(probes, axis=1)[:, None]
+    long_tau = _RENORM_LOG_BUDGET / rate
+    short_tau = long_tau / 2.0**_CHECK_SQUARINGS  # exact: 2^k short intervals are the long one
+    short = _expm(short_tau * a)
+    long = functools.reduce(lambda x, _: x @ x, range(_CHECK_SQUARINGS), short)
+    probes = np.zeros((len(a), 2))  # columns: the vacuum after the short interval, the vacuum
+    probes[:, 0], probes[0, 1] = short[:, 0] / np.linalg.norm(short[:, 0]), 1.0
+    coords = basis_inv @ probes  # refined once, as `to_coords` does
+    coords += basis_inv @ (probes - basis @ coords)
     index = np.arange(len(a))
-    views = np.stack([np.ones(len(a)), index % 2, np.sqrt(index // 2)])  # all, atom, field
+    weights = np.stack([np.ones(len(a)), index % 2, index // 2])  # squared: all, atom, field
     worst = 0.0
-    for tau, want, n_views in zip(taus, exact, (1, 3)):
+    for tau, want, n_views in ((short_tau, short, 1), (long_tau, long, 3)):
+        turns = np.exp(tau * mu)[:, None]
         zeros = want == 0
-        if np.any(zeros):
-            turns = np.exp(tau * mu)[:, None]
-            turned = basis @ (turns.real * basis_inv + turns.imag * basis_inv[partner])
-            if np.any(turned[zeros] != 0):
-                return math.inf
-        for probe in probes:
-            got = prop.evolve(probe[None], tau)[0]
-            ref = want @ probe
-            err, size = (np.linalg.norm(views[:n_views] * x, axis=1) for x in (got - ref, ref))
-            # a share whose norm underflows to 0 passes only without error
-            worst = max(worst, float(np.max(err / np.maximum(size, np.finfo(float).tiny))))
+        if zeros.any() and np.any((basis @ (turns.real * basis_inv + turns.imag * basis_inv[partner]))[zeros]):
+            return math.inf
+        ref = want @ probes
+        got = basis @ (turns.real * coords + turns.imag * coords[partner])
+        err, size = (np.sqrt(weights[:n_views] @ np.square(x)) for x in (got - ref, ref))
+        # a share whose norm underflows to 0 passes only without error
+        worst = max(worst, float(np.max(err / np.maximum(size, np.finfo(float).tiny))))
     return worst
 
 
@@ -392,8 +393,6 @@ def prepare_propagator(hamiltonian: EffectiveHamiltonian, method: str | None = N
     if method not in (None, METHOD_EIG, METHOD_FALLBACK):
         raise InvalidParametersError(f"unknown propagator method: {method!r}")
     dim = len(a)
-    no_eig = (np.empty((0, dim), dtype=complex), np.empty((0, dim, dim)),
-              np.empty((0, dim, dim)), np.empty((0, dim), dtype=int))  # no rows on the eigen path
     if method != METHOD_FALLBACK:
         try:
             parts = _block_eig(a)
@@ -408,6 +407,8 @@ def prepare_propagator(hamiltonian: EffectiveHamiltonian, method: str | None = N
             raise NumericError(
                 f"eigendecomposition requested but unusable: off a Pade exponential by {error:.3g} (relative)"
             )
+    no_eig = (np.empty((0, dim), dtype=complex), np.empty((0, dim, dim)),
+              np.empty((0, dim, dim)), np.empty((0, dim), dtype=int))  # no rows on the eigen path
     return Propagator(np.zeros(1, dtype=bool), *no_eig, a[None].copy())
 
 

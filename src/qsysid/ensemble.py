@@ -11,7 +11,7 @@ import numpy as np
 from .dynamics import _check_window, simulate_record
 from .errors import InvalidParametersError, QsysidError, StatisticsError
 from .inference import Estimate, GGrid, _check_cut_times, _prepare_grid, estimate_time_series
-from .model import Model, ModelParams, _check_integer
+from .model import Model, ModelParams, _check_integer, _finite
 
 DEFAULT_N_CHECKPOINTS = 20
 
@@ -154,8 +154,10 @@ def summarize(
         raise StatisticsError(
             f"need at least 2 surviving trajectories, got {result.n_surviving}"
         )
-    if not (math.isfinite(bin_width) and bin_width > 0):
-        raise InvalidParametersError(f"bin_width must be > 0, got {bin_width}")
+    if not (_finite(bin_width) and bin_width > 0):
+        raise InvalidParametersError(f"bin_width must be finite and > 0, got {bin_width!r}", field="bin_width")
+    if not _finite(hist_time):
+        raise InvalidParametersError(f"hist_time must be finite, got {hist_time!r}", field="hist_time")
     times = np.asarray(result.checkpoints, dtype=float)
     matches = np.flatnonzero(np.isclose(times, hist_time, rtol=0.0, atol=1e-12))
     if matches.size == 0:

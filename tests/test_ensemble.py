@@ -137,6 +137,13 @@ def test_summarize_validates_inputs(tiny_ensemble):
         summarize(tiny_ensemble, hist_time=0.7, bin_width=1.0)
     with pytest.raises(InvalidParametersError):
         summarize(tiny_ensemble, hist_time=1.0, bin_width=0.0)
+    # a value that a cast would read as a number is no number: a bool, a string
+    for bin_width in (True, "1", float("inf"), None):
+        with pytest.raises(InvalidParametersError, match="bin_width"):
+            summarize(tiny_ensemble, hist_time=1.0, bin_width=bin_width)
+    for hist_time in ("0.3", True, float("nan"), None):
+        with pytest.raises(InvalidParametersError, match="hist_time"):
+            summarize(tiny_ensemble, hist_time=hist_time, bin_width=1.0)
 
 
 def test_summarize_needs_surviving_trajectories(tiny_ensemble):
