@@ -13,7 +13,8 @@ the scorer starts from as that exponential does, at the interval lengths
 the scorer uses. Coordinates are refined once against their residual, so
 the error on such states stays near rounding level although cond(W)
 reaches 1e9. `Detector` applies a collapse operator in the same
-coordinates, as one real product with W^-1 C W refined once.
+coordinates, as one real product with W^-1 C W refined once. A stack
+builds its turns' index maps once, and splits its rows only if they mix paths.
 
 The simulator and the scorer in `inference` run the same arithmetic, the
 simulator on a stack of one, the scorer on the whole grid: states held in
@@ -103,14 +104,16 @@ class Propagator:
         self.partner = partner
         self.a = a
         self._n_eig = int(np.count_nonzero(eig))
+        self._all_eig = self._n_eig == len(eig)
+        # index maps shaped as the eigen rows' coordinates, so that no turn reshapes
         n, dim = partner.shape
         rows = dim * np.arange(n)[:, None]
-        self._partner_flat = (partner + rows).ravel()
+        self._partner_flat = partner + rows
         # a pair's second column turns by the conjugate of its first one's
         # factor, so `_turned` takes the factor on the first columns (and real ones) only
         first = partner >= np.arange(dim)
         self._first_rates = eigvals[first]
-        leader = (np.minimum(partner, np.arange(dim)) + rows).ravel()
+        leader = np.minimum(partner, np.arange(dim)) + rows
         self._first_of = (np.cumsum(first.ravel()) - 1)[leader]  # index into _first_rates
         self._imag_sign = np.where(first, 1.0, -1.0)
 
@@ -123,7 +126,7 @@ class Propagator:
     @property
     def method(self) -> str:
         """The path every candidate of the stack takes."""
-        if self._n_eig == len(self.eig):
+        if self._all_eig:
             return METHOD_EIG
         if self._n_eig == 0:
             return METHOD_FALLBACK
@@ -131,8 +134,8 @@ class Propagator:
 
     def _by_path(self, on_eig, on_fallback, *stacks) -> np.ndarray:
         """on_eig on the eigen rows of the stacks and on_fallback on the
-        others, reassembled."""
-        if self._n_eig == len(self.eig):
+        others, reassembled (an all-eigen stack turns and converts directly)."""
+        if self._all_eig:
             return on_eig(*stacks)
         if self._n_eig == 0:
             return on_fallback(*stacks)
@@ -156,27 +159,33 @@ class Propagator:
 
     def _partners(self, coords: np.ndarray) -> np.ndarray:
         """Eigen rows: each coordinate's pair partner."""
-        return coords.reshape(-1)[self._partner_flat].reshape(coords.shape)
+        return coords.take(self._partner_flat)
 
     def _turned(self, coords: np.ndarray, f, tau: float) -> np.ndarray:
         """Eigen rows: coordinates weighted by the real and imaginary parts
         of the per-column factors f(mu tau) of an interval tau (np.exp to
         turn them, np.expm1 for the change)."""
-        factors = f(tau * self._first_rates)[self._first_of].reshape(coords.shape)
+        factors = f(tau * self._first_rates)[self._first_of]
         return factors.real * coords + factors.imag * self._imag_sign * self._partners(coords)
 
     def to_coords(self, states: np.ndarray) -> np.ndarray:
         """The form the scorer and the simulator hold an (n, dim) state stack
         in: the refined coordinates y = W^-1 psi on eigen rows, the states
         on the others."""
+        if self._all_eig:
+            return self._coords(states)
         return self._by_path(self._coords, np.copy, states)
 
     def from_coords(self, coords: np.ndarray) -> np.ndarray:
         """The states that the `to_coords` form holds (W y on eigen rows)."""
+        if self._all_eig:
+            return _matvec(self.basis, coords)
         return self._by_path(lambda y: _matvec(self.basis, y), np.copy, coords)
 
     def turn(self, coords: np.ndarray, tau: float) -> np.ndarray:
         """The (n, dim) `to_coords` form after a no-detection interval tau >= 0."""
+        if self._all_eig:
+            return self._turned(coords, np.exp, tau)
         return self._by_path(lambda y: self._turned(y, np.exp, tau),
                              lambda s: self._expm_evolve(s, tau), coords)
 

@@ -202,9 +202,11 @@ def _score_record(
     each detection as one product (`Detector.on_coords`), dividing by the
     coordinates' norm after every chunk and event and summing the logs. A
     candidate that an event cannot happen to is excluded there: its row is
-    zeroed and its log-likelihood set to -inf, and both stay so. A
-    state is formed (psi = W y) only at a cut, where the log-likelihood is
-    the summed logs plus log ||psi||^2, which closes the telescoped sum.
+    zeroed and its log-likelihood set to -inf, and both stay so. The pass
+    counts live rows: an event whose count of nonzero norms drops excludes;
+    a chunk whose count drops has underflowed, which raises. A state is
+    formed (psi = W y) only at a cut, where the log-likelihood is the
+    summed logs plus log ||psi||^2, which closes the telescoped sum.
 
     A detection within 1/(largest total decay rate) of the one before goes
     through psi instead: the states just after that one, formed from its
@@ -222,6 +224,7 @@ def _score_record(
     start = np.tile(ground_vacuum(model), (n_g, 1))
     coords = prop.to_coords(start)
     loglik = np.zeros(n_g, dtype=float)
+    live = n_g  # rows not excluded; the others are zero rows, so a drop in nonzero norms is a new one
 
     def after_last_event() -> np.ndarray:
         """The normalized states after the last event, exact in structure."""
@@ -239,7 +242,7 @@ def _score_record(
             n2 = _row_norms_sq(new_coords)
             if not np.all(np.isfinite(n2)):
                 raise NumericError("no-detection evolution produced non-finite norms")
-            if np.any((n2 <= 0.0) & (new_loglik > -np.inf)):
+            if np.count_nonzero(n2) < live:
                 raise NumericError("no-detection norm underflowed within one renormalization chunk")
             _renormalize(new_coords, new_loglik, n2)
         return new_coords, new_loglik
@@ -257,13 +260,16 @@ def _score_record(
     def detected(rows: np.ndarray, k: int) -> np.ndarray:
         """The squared norms of rows just collapsed, which are renormalized;
         a row that the event cannot happen to is excluded."""
+        nonlocal live
         n2 = _row_norms_sq(rows)
         if not np.all(np.isfinite(n2)):
             raise NumericError(f"jump application produced non-finite norms (event {k})")
-        excluded = n2 <= 0.0
-        if excluded.any():  # rare: most events exclude nothing, and masked writes cost time
+        nonzero = int(np.count_nonzero(n2))
+        if nonzero < live:  # only at the events that exclude a row: masked writes cost time
+            excluded = n2 <= 0.0
             loglik[excluded] = -np.inf
             rows[excluded] = 0.0
+            live = nonzero
         _renormalize(rows, loglik, n2)
         return n2
 

@@ -315,6 +315,54 @@ def test_step_matches_full_column_formula_bit_for_bit(cavity_params, cavity_mode
         assert prop.step(states, coords, tau).tobytes() == want.tobytes(), tau
 
 
+def _by_column(prop, states, tau):
+    """`to_coords`, `turn` and `from_coords` of a stack, row by row and, for
+    the turn, column by column as documented: y = W^-1 psi refined once,
+    y_k -> Re(e^{mu_k tau}) y_k + Im(e^{mu_k tau}) y_partner(k), then W y;
+    a fallback row is its state, turned by its own exponential."""
+    coords, turned, back = (np.empty_like(states) for _ in range(3))
+    eig_row, fallback_row = np.cumsum(prop.eig) - 1, np.cumsum(~prop.eig) - 1
+    for i, psi in enumerate(states):
+        if not prop.eig[i]:
+            coords[i] = psi
+            turned[i] = back[i] = _expm(tau * prop.a[fallback_row[i]]) @ psi
+            continue
+        j = eig_row[i]
+        w, w_inv, mu, partner = prop.basis[j], prop.basis_inv[j], prop.eigvals[j], prop.partner[j]
+        y = w_inv @ psi
+        coords[i] = y = y + w_inv @ (psi - w @ y)
+        for k in range(len(y)):
+            factor = np.exp(tau * mu[k])
+            turned[i, k] = factor.real * y[k] + factor.imag * y[partner[k]]
+        back[i] = w @ turned[i]
+    return coords, turned, back
+
+
+@pytest.mark.parametrize("case", ["one-row", "headline-grid", "fallback-rows"])
+def test_turn_and_coordinates_match_the_formula_column_by_column(case, cavity_params, cavity_model, rng):
+    # the stacked index maps and the direct all-eigen routes give the bits
+    # of the documented per-column arithmetic: on the simulator's stack of
+    # one, on the 115 rows of the headline default grid (whose g 0 row has
+    # two blocks and another count of real eigenvalues) and on a grid that
+    # mixes paths
+    if case == "one-row":
+        model, values = cavity_model, [45.0]
+    elif case == "headline-grid":
+        model, values = cavity_model, default_grid(cavity_params).values
+    else:
+        params = ModelParams(g0=20.0, gamma_perp=5.0, kappa=3.0, epsilon=10.0, n_trunc=18)
+        model, values = build_model(params), default_grid(params).values
+    prop, _ = qsysid.inference._prepare(model, values)
+    assert prop.eig.all() == (case != "fallback-rows") and prop.eig.any()
+    states = rng.normal(size=(len(values), model.dim))
+    states /= np.linalg.norm(states, axis=1)[:, None]
+    for tau in (1e-4, 0.01, 0.3):
+        coords, turned, back = _by_column(prop, states, tau)
+        assert prop.to_coords(states).tobytes() == coords.tobytes(), tau
+        assert prop.turn(coords, tau).tobytes() == turned.tobytes(), tau
+        assert prop.from_coords(turned).tobytes() == back.tobytes(), tau
+
+
 def test_evolve_matches_dense_expm(small_model, rng):
     h = effective_hamiltonian(small_model, 2.2)
     prop = prepare_propagator(h)

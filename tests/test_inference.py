@@ -384,6 +384,56 @@ def test_excluded_candidate_is_a_zero_row_at_minus_inf(gap, method):
             conditional_states(model, 0.0, record, [t_excluded])
 
 
+def _zeroing_row(cls, name, row, at_call):
+    """Patch cls.name to return row `row` of its output as exactly zero at
+    its `at_call`-th call (counted from 1)."""
+    calls, method = [], getattr(cls, name)
+
+    def zeroing(self, *args):
+        out = method(self, *args)
+        calls.append(None)
+        if len(calls) == at_call:
+            out[row] = 0.0
+        return out
+
+    return patch.object(cls, name, zeroing)
+
+
+def test_row_whose_collapse_vanishes_is_excluded_from_then_on(flux_model):
+    # a live row whose collapsed norm is exactly 0 drops the count of
+    # nonzero norms: it is excluded at that event and stays a zero row at
+    # -inf, and every other row and every earlier cut keeps its lone bits
+    record = simulate_record(flux_model, 3.0, 0.0, 1.0, seed=26)
+    gaps = np.diff(np.concatenate([[record.t0], record.times]))
+    in_coords = np.flatnonzero(gaps * max_total_decay_rate(flux_model) > 1.0)
+    event = int(in_coords[3])  # the fourth event collapsed in coordinates
+    assert 0 < event < record.n_events - 1
+    grid, row = GGrid(1.0, 5.0, 1.0), 2
+    cut_times = np.append(record.times, record.tf)
+    cut_records = [ClassicalRecord(record.t0, t, record.times[:i + 1], record.channels[:i + 1])
+                   for i, t in enumerate(record.times)] + [record]
+    lone = np.array([[log_likelihood(flux_model, cut, float(g)) for g in grid.values] for cut in cut_records])
+    with _zeroing_row(qsysid.dynamics.Detector, "on_coords", row, at_call=4):
+        # the cuts `likelihood_surface` makes with history, with their states
+        cuts = list(qsysid.inference._score_record(
+            flux_model, *qsysid.inference._prepare(flux_model, grid.values), record, cut_times))
+    for i, (_, _, states, loglik) in enumerate(cuts):
+        for j in range(grid.n):
+            if j == row and i >= event:
+                assert loglik[j] == -np.inf and not states[j].any(), i
+            else:
+                assert loglik[j] == lone[i, j], (i, j)
+
+
+def test_row_whose_norm_vanishes_between_detections_raises(flux_model):
+    # a live row at exactly zero norm after a no-detection chunk has
+    # underflowed, which is an error, not an exclusion
+    record = simulate_record(flux_model, 3.0, 0.0, 1.0, seed=26)
+    with _zeroing_row(qsysid.dynamics.Propagator, "turn", 1, at_call=5):
+        with pytest.raises(NumericError, match="underflowed"):
+            likelihood_surface(flux_model, record, GGrid(1.0, 5.0, 1.0))
+
+
 # ------------------------------------------------------------------- history
 
 

@@ -15,7 +15,9 @@ JSON line of its stdout and its provenance line. Runs already in the file
 are kept, so one file can collect several workloads and seeds (more pairs
 of one continue its numbering). The summary (per workload, seed and
 metric: quartiles of each side, pairs won by the change and the change of
-the median) is recomputed from all of them after every run.
+the median; per workload and seed also each side's median count of
+attempted ops, whose products the harness retains, so a `peak_rss_mb` move
+can be read against it) is recomputed from all of them after every run.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ import sys
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
-from aggregate import quartiles  # noqa: E402
+from aggregate import median, quartiles  # noqa: E402
 
 SIDES = ("parent", "change")
 
@@ -71,6 +73,9 @@ def summarize(runs: list[dict]) -> dict:
                 "pairs": len(complete),
                 "relative_change": (c2 - p2) / p2 if p2 else None,
             }
+        # the ops a run retains the products of, against which to read a peak_rss_mb move
+        attempted = {side: [r["result"]["attempted"] for r in group if r["side"] == side] for side in SIDES}
+        entry["attempted_median"] = {side: median(ops) for side, ops in attempted.items() if ops}
         summary[f"{key[0]} seed {key[1]}"] = entry
     return summary
 
