@@ -59,11 +59,9 @@ from .io import (
 )
 from .mastereq import (
     MasterState,
-    check_truncation,
     expectations,
     ground_vacuum_density,
     integrate_master,
-    photon_populations,
     steady_state,
 )
 from .model import (

@@ -2,7 +2,7 @@
 
 Exit codes: 0 success, 1 usage error, 2 config/format error, 3 numeric or
 statistical failure. stdout carries human-readable summaries only; all data
-products go to the files named by --out/--hist/--history.
+products go to the files named by --out/--hist/--history; warnings go to stderr.
 """
 
 from __future__ import annotations
@@ -10,7 +10,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .dynamics import simulate_record
+from .dynamics import TRUNCATION_TAIL_LIMIT, _simulate
 from .ensemble import count_statistics, run_ensemble, summarize
 from .errors import ConfigError, FormatError, InvalidParametersError, QsysidError
 from .inference import likelihood_surface, posterior_and_mle
@@ -23,7 +23,7 @@ from .io import (
     write_stats_csv,
     write_surface_csv,
 )
-from .mastereq import check_truncation, expectations, steady_state
+from .mastereq import expectations, steady_state
 from .model import build_model
 
 EXIT_OK = 0
@@ -45,11 +45,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim = sub.add_parser("simulate", help="generate one detection record")
     p_sim.add_argument("--config", required=True, help="config JSON path")
     p_sim.add_argument("--out", required=True, help="output record JSON path")
-    p_sim.add_argument(
-        "--check-truncation",
-        action="store_true",
-        help="also verify the Fock cutoff against the steady state (slow)",
-    )
     p_sim.set_defaults(func=_cmd_simulate)
 
     p_est = sub.add_parser("estimate", help="score a record over the grid")
@@ -86,15 +81,15 @@ def build_parser() -> argparse.ArgumentParser:
 def _cmd_simulate(args) -> int:
     config = parse_config(args.config)
     model = build_model(config.model_params())
-    record = simulate_record(model, config.g_true, config.t0, config.tf, config.seed)
+    record, tail = _simulate(model, config.g_true, config.t0, config.tf, config.seed)
     write_record(args.out, record)
     print(
         f"simulate: {record.n_events} events in [{config.t0}, {config.tf}] us "
         f"(seed {config.seed}) -> {args.out}"
     )
-    if args.check_truncation:
-        tail = check_truncation(model, config.g_true)
-        print(f"truncation check: top-two Fock population {tail:.3e}")
+    if tail >= TRUNCATION_TAIL_LIMIT:
+        print(f"warning: top two Fock levels hold {tail:.3e} of a conditional state (limit "
+              f"{TRUNCATION_TAIL_LIMIT:.0e}); raise n_trunc above {config.n_trunc}", file=sys.stderr)
     return EXIT_OK
 
 

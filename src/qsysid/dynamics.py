@@ -23,7 +23,9 @@ collapsed by `Detector`. The simulator locates jump times by inverting the
 squared-norm survival curve of `from_coords(turn(...))`: a bracket that
 starts at the segment's expected waiting time (from its detection rate)
 and doubles, then bisection, so records carry no time-step discretization
-error beyond the bisection width.
+error beyond the bisection width. The simulator also keeps the largest
+weight its states hold in the top two Fock levels, a check of the cutoff
+on the conditional states records are drawn from.
 """
 
 from __future__ import annotations
@@ -49,6 +51,7 @@ from .model import (
 
 EIG_TOLERANCE = 1e-10         # eigen-path error on the scorer's states, relative
 JUMP_TIME_TOL = 1e-9          # bisection window for jump times, us
+TRUNCATION_TAIL_LIMIT = 1e-8  # weight a record's state may hold in the top two Fock levels
 _RENORM_LOG_BUDGET = 100.0    # max |log norm^2| the scorer lets accumulate per chunk
 _CHECK_SQUARINGS = math.ceil(math.log2(_RENORM_LOG_BUDGET))  # path check: from <= 1/r to the long interval
 _MAX_BISECT = 200
@@ -549,13 +552,12 @@ class ClassicalRecord:
         )
 
 
-def simulate_record(
-    model: Model,
-    g_true: float,
-    t0: float,
-    tf: float,
-    seed: int,
-) -> ClassicalRecord:
+def _top_weight(psi: np.ndarray) -> float:
+    """Share of psi's squared norm in the top two Fock levels (the last four entries)."""
+    return float(np.vdot(psi[-4:], psi[-4:]) / np.vdot(psi, psi))
+
+
+def simulate_record(model: Model, g_true: float, t0: float, tf: float, seed: int) -> ClassicalRecord:
     """Generate one quantum-jump photodetection record from the ground vacuum.
 
     Standard quantum-jump sampling with exact interval evolution: draw a
@@ -567,6 +569,16 @@ def simulate_record(
     outlives the window. Deterministic given (model params, g_true, window,
     seed).
     """
+    return _simulate(model, g_true, t0, tf, seed)[0]
+
+
+def _simulate(model: Model, g_true: float, t0: float, tf: float, seed: int) -> tuple[ClassicalRecord, float]:
+    """The record `simulate_record` draws, and the largest `_top_weight` of
+    the states it forms anyway: each normalized post-jump psi, and the
+    no-jump state at tf that ends the record, so that a record with no
+    event is checked too. At or above TRUNCATION_TAIL_LIMIT, n_trunc is too
+    low for the record's conditional states; the caller decides whether to say so.
+    """
     _check_window(t0, tf)
     _check_integer("seed", seed, 0)
     psi = ground_vacuum(model)  # A and both collapse operators are real, so psi stays real
@@ -575,6 +587,7 @@ def simulate_record(
     rng = np.random.default_rng(seed)
     times: list[float] = []
     channels: list[int] = []
+    worst_tail = 0.0
     t = t0
     while True:
         remaining = tf - t
@@ -585,6 +598,8 @@ def simulate_record(
             r = rng.random()
         coords = propagator.to_coords(psi[None])  # once per inter-jump segment
         if _survival(propagator, coords, remaining) >= r:
+            at_tf = propagator.from_coords(propagator.turn(coords, remaining))[0]
+            worst_tail = max(worst_tail, _top_weight(at_tf))
             break
         # the waiting time to r at the segment's starting detection rate, down
         # to a power of two: then the bracket and every bisection midpoint are
@@ -604,6 +619,7 @@ def simulate_record(
         u = rng.random()
         channel = CHANNEL_ATOM if u * w_sum < w0 else CHANNEL_CAVITY
         psi = jumped[channel] / math.sqrt(weights[channel])
+        worst_tail = max(worst_tail, _top_weight(psi))
         t_star = min(t + tau_star, tf)
         if times and t_star <= times[-1]:
             t_star = np.nextafter(times[-1], np.inf)  # keep strict ordering
@@ -623,4 +639,4 @@ def simulate_record(
         },
         "initial_state": "ground-vacuum",
     }
-    return ClassicalRecord(float(t0), float(tf), times, channels, metadata)
+    return ClassicalRecord(float(t0), float(tf), times, channels, metadata), worst_tail

@@ -13,12 +13,13 @@ complex Hermitian rho0 runs the same code in complex arithmetic.
 RK4 runs at the fixed step DT_DEFAULT, and a steady state is sought to
 STEADY_TOL_DEFAULT within a fixed time budget; a model too stiff for that
 step raises StepSizeError naming its largest total decay rate x the step.
+The Fock cutoff is judged by the simulator, on the conditional states that
+hold far more top-level weight than the steady state (dynamics._simulate).
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,7 +31,6 @@ from .model import TWO_PI, Model, effective_hamiltonian, ground_vacuum, shift_fo
 DT_DEFAULT = 1e-4            # us; keeps RK4 stable up to the top Fock level
 STEADY_TOL_DEFAULT = 1e-10
 TRACE_DRIFT_LIMIT = 1e-8     # allowed renormalization drift per us
-TRUNCATION_TAIL_LIMIT = 1e-8  # steady-state weight allowed in the top two Fock levels
 _STEADY_CHUNK = 0.25         # us of integration between residual checks
 _STEADY_SAFETY = 0.01        # converge this far below the advertised threshold
 _STEADY_MAX_TIME = 50.0      # us of integration before a steady state is given up
@@ -159,24 +159,3 @@ def expectations(state: MasterState, model: Model) -> tuple[float, float, float]
     flux = 2.0 * TWO_PI * p.kappa * n_photon + 2.0 * TWO_PI * p.gamma_perp * p_excited
     return n_photon, p_excited, flux
 
-
-def photon_populations(state: MasterState) -> np.ndarray:
-    """Photon-number distribution P(n), traced over the atom."""
-    diag = np.real(np.diag(state.rho))
-    return diag[0::2] + diag[1::2]
-
-
-def check_truncation(model: Model, g: float) -> float:
-    """Steady-state weight in the top two Fock levels; warns when it reaches
-    TRUNCATION_TAIL_LIMIT (raise n_trunc in that case)."""
-    pops = photon_populations(steady_state(model, g))
-    tail = float(pops[-1] + pops[-2])
-    if tail >= TRUNCATION_TAIL_LIMIT:
-        warnings.warn(
-            f"top two Fock levels hold {tail:.3e} of the steady state "
-            f"(threshold {TRUNCATION_TAIL_LIMIT:.0e}); raise n_trunc above "
-            f"{model.params.n_trunc}",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    return tail

@@ -7,8 +7,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qsysid import EnsembleResult, Estimate, GGrid, ModelParams, cli, read_record
+from qsysid import (EnsembleResult, Estimate, GGrid, ModelParams, build_model, cli, conditional_states,
+                    read_record)
 from qsysid.cli import main
+from qsysid.dynamics import TRUNCATION_TAIL_LIMIT, _simulate
 
 TWO_PI = 2.0 * np.pi
 
@@ -174,6 +176,79 @@ def test_steadystate_on_a_model_too_stiff_for_the_step_exits_3(tmp_path, capsys)
     assert "largest total decay rate" in err and "= 3.77; the model is too stiff for the fixed step" in err
 
 
+# ------------------------------------------------------- the Fock cutoff
+
+
+def _simulate_with(tmp_path, capsys, **overrides):
+    """Run `simulate` on TOY_CONFIG with overrides: the exit code, what it
+    printed, the record it wrote, the model, and `_simulate`'s tail."""
+    cfg = dict(TOY_CONFIG, **overrides)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg) + "\n")
+    out = tmp_path / "record.json"
+    code = main(["simulate", "--config", str(path), "--out", str(out)])
+    params = ModelParams(cfg["g0_mhz"], cfg["gamma_perp_mhz"], cfg["kappa_mhz"], cfg["epsilon_mhz"], cfg["n_trunc"])
+    model = build_model(params)
+    record, tail = _simulate(model, cfg["g_true_mhz"], cfg["t0_us"], cfg["tf_us"], cfg["seed"])
+    assert read_record(out) == record
+    return code, capsys.readouterr(), record, model, tail
+
+
+def _warning(tail, n_trunc):
+    return (f"warning: top two Fock levels hold {tail:.3e} of a conditional state "
+            f"(limit 1e-08); raise n_trunc above {n_trunc}\n")
+
+
+HEADLINE = dict(g0_mhz=57.0, gamma_perp_mhz=2.5, kappa_mhz=30.0, epsilon_mhz=44.3, g_true_mhz=45.0)
+CAVITY_6 = dict(gamma_perp_mhz=0.5, kappa_mhz=6.0, epsilon_mhz=6.0, g_true_mhz=0.0, seed=1)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("n_trunc", [16, 30])
+def test_simulate_warning_reads_the_conditional_states(tmp_path, capsys, n_trunc, seed):
+    # at n_trunc 16 the steady state holds 3.3e-9 in the top two levels,
+    # below the limit, while the states records are drawn from reach
+    # 4.3e-8, 2.9e-8 and 1.9e-7 on seeds 1-3; n_trunc 30 is the headline
+    code, printed, record, model, tail = _simulate_with(tmp_path, capsys, **HEADLINE, n_trunc=n_trunc, seed=seed)
+    assert code == 0
+    assert printed.out == f"simulate: {record.n_events} events in [0.0, 1.0] us (seed {seed}) -> {tmp_path}/record.json\n"
+    states = conditional_states(model, 45.0, record, [*record.times, record.tf])
+    assert tail == pytest.approx(max(float(s[-4:] @ s[-4:]) / float(s @ s) for s in states), rel=1e-9)
+    if n_trunc == 16:
+        assert tail >= TRUNCATION_TAIL_LIMIT and printed.err == _warning(tail, 16)
+    else:
+        assert tail < 1e-20 and printed.err == ""
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_simulate_checks_the_state_at_tf_of_a_record_without_events(tmp_path, capsys, seed):
+    # a near-lossless cavity driven from the vacuum: no detection in 1 us,
+    # and the no-jump state at tf holds 0.219 in the top two of four levels
+    overrides = dict(kappa_mhz=1e-6, gamma_perp_mhz=0.0, epsilon_mhz=5.0, n_trunc=3, g_true_mhz=0.0, seed=seed)
+    code, printed, record, _, tail = _simulate_with(tmp_path, capsys, **overrides)
+    assert code == 0 and record.n_events == 0
+    assert tail == pytest.approx(0.219, abs=1e-3) and printed.err == _warning(tail, 3)
+
+
+def test_simulate_is_quiet_on_a_model_too_stiff_for_the_steady_state_step(tmp_path, capsys):
+    # the point test_steadystate_on_a_model_too_stiff_for_the_step_exits_3
+    # fails at: the simulator needs no master-equation step
+    code, printed, record, _, _ = _simulate_with(tmp_path, capsys, **dict(HEADLINE, kappa_mhz=100.0), n_trunc=30)
+    assert code == 0 and record.n_events > 0 and printed.err == ""
+
+
+def test_simulate_warns_on_tight_cutoff(tmp_path, capsys):
+    code, printed, _, _, tail = _simulate_with(tmp_path, capsys, **CAVITY_6, n_trunc=3)
+    assert code == 0 and tail == pytest.approx(0.41, abs=0.01)
+    assert printed.err == _warning(tail, 3)
+
+
+def test_simulate_quiet_when_roomy(tmp_path, capsys):
+    code, printed, _, _, tail = _simulate_with(tmp_path, capsys, **CAVITY_6, n_trunc=14)
+    assert code == 0 and 1e-11 < tail < TRUNCATION_TAIL_LIMIT  # 6.8e-11
+    assert printed.err == ""
+
+
 # --------------------------------------------------------------- exit codes
 
 
@@ -181,6 +256,8 @@ def test_usage_errors_exit_1(capsys):
     assert main([]) == 1
     assert main(["frobnicate"]) == 1
     assert main(["simulate"]) == 1  # missing required options
+    # the cutoff is checked on every simulate run; the steady-state option is gone
+    assert main(["simulate", "--config", "c.json", "--out", "r.json", "--check-truncation"]) == 1
     capsys.readouterr()
 
 

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -29,7 +30,7 @@ from qsysid import (
 )
 
 import qsysid.dynamics
-from qsysid.dynamics import EIG_TOLERANCE, Detector, _expm, _locate_jump_time
+from qsysid.dynamics import EIG_TOLERANCE, TRUNCATION_TAIL_LIMIT, Detector, _expm, _locate_jump_time, _simulate
 
 from conftest import forced_path
 from oracles import direct_log_density, empty_cavity_expected_counts
@@ -555,6 +556,19 @@ def test_simulate_without_atomic_decay_uses_cavity_channel_only():
     record = simulate_record(model, g_true=4.0, t0=0.0, tf=1.0, seed=9)
     assert record.n_events > 0
     assert np.all(record.channels == CHANNEL_CAVITY)
+
+
+def test_simulate_record_is_the_checked_record_and_stays_silent(capsys):
+    # the cutoff check rides along: simulate_record returns _simulate's
+    # record and neither prints nor warns, however cramped the cutoff
+    cramped = build_model(ModelParams(g0=6.0, gamma_perp=0.5, kappa=6.0, epsilon=6.0, n_trunc=3))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        record = simulate_record(cramped, 0.0, 0.0, 1.0, seed=1)
+        again, tail = _simulate(cramped, 0.0, 0.0, 1.0, seed=1)
+    assert again == record and record.n_events > 0
+    assert tail >= TRUNCATION_TAIL_LIMIT
+    assert capsys.readouterr() == ("", "")
 
 
 def test_simulate_rejects_bad_window(small_model):

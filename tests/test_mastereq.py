@@ -1,5 +1,4 @@
 import math
-import warnings
 from unittest.mock import patch
 
 import numpy as np
@@ -15,13 +14,11 @@ from qsysid import (
     ModelParams,
     StepSizeError,
     build_model,
-    check_truncation,
     conditional_states,
     effective_hamiltonian,
     expectations,
     ground_vacuum_density,
     integrate_master,
-    photon_populations,
     simulate_record,
     steady_state,
 )
@@ -174,7 +171,8 @@ def test_empty_cavity_steady_state_closed_form(empty_cavity):
     assert abs(p_excited) <= 1e-12
     assert flux == pytest.approx(2.0 * TWO_PI * 6.0, rel=1e-8)
     # photon statistics of a coherent state are Poissonian
-    pops = photon_populations(ss)
+    d = np.diag(ss.rho)
+    pops = d[0::2] + d[1::2]
     n_vals = np.arange(pops.size)
     poisson = np.exp(-1.0) / np.array([math.factorial(n) for n in n_vals], dtype=float)
     np.testing.assert_allclose(pops[:8], poisson[:8], atol=1e-7)
@@ -211,27 +209,13 @@ def test_expectations_match_direct_traces(coupled_model):
     assert abs(np.trace(ad_a @ state.rho).imag) <= 1e-12
 
 
-def test_photon_populations_form_distribution(coupled_model):
+def test_photon_number_distribution_from_the_diagonal(coupled_model):
     state = integrate_master(coupled_model, 3.0, ground_vacuum_density(coupled_model), 0.5)
-    pops = photon_populations(state)
+    d = np.diag(state.rho)  # P(n), traced over the atom: basis index 2n + s
+    pops = d[0::2] + d[1::2]
     assert pops.shape == (7,)
     assert pops.sum() == pytest.approx(1.0, abs=1e-10)
     assert pops.min() >= -1e-12
-
-
-def test_check_truncation_warns_on_tight_cutoff():
-    cramped = build_model(ModelParams(g0=6.0, gamma_perp=0.5, kappa=6.0, epsilon=6.0, n_trunc=3))
-    with pytest.warns(RuntimeWarning, match="n_trunc"):
-        tail = check_truncation(cramped, 0.0)
-    assert tail > 1e-8
-
-
-def test_check_truncation_quiet_when_roomy():
-    roomy = build_model(ModelParams(g0=6.0, gamma_perp=0.5, kappa=6.0, epsilon=6.0, n_trunc=14))
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        tail = check_truncation(roomy, 0.0)
-    assert tail < 1e-8
 
 
 def test_trajectory_average_reproduces_master_equation(coupled_model):
