@@ -211,7 +211,8 @@ def test_simulate_warning_reads_the_conditional_states(tmp_path, capsys, n_trunc
     # 4.3e-8, 2.9e-8 and 1.9e-7 on seeds 1-3; n_trunc 30 is the headline
     code, printed, record, model, tail = _simulate_with(tmp_path, capsys, **HEADLINE, n_trunc=n_trunc, seed=seed)
     assert code == 0
-    assert printed.out == f"simulate: {record.n_events} events in [0.0, 1.0] us (seed {seed}) -> {tmp_path}/record.json\n"
+    out = tmp_path / "record.json"
+    assert printed.out == f"simulate: {record.n_events} events in [0.0, 1.0] us (seed {seed}) -> {out}\n"
     states = conditional_states(model, 45.0, record, [*record.times, record.tf])
     assert tail == pytest.approx(max(float(s[-4:] @ s[-4:]) / float(s @ s) for s in states), rel=1e-9)
     if n_trunc == 16:
