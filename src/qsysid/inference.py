@@ -8,7 +8,8 @@ it cancels in the posterior and in any likelihood comparison.
 
 Scoring walks the record once with the states for all grid candidates
 stacked, in each candidate's eigen-coordinates (`dynamics.Propagator`):
-an interval turns them, a detection is one real product, and every chunk
+an interval turns them, a detection is one real product (a collapse of the
+state itself where the coordinates cancel in it), and every chunk
 of no-detection evolution (at most `_RENORM_LOG_BUDGET` over the largest
 total decay rate) and event is renormalized by the coordinates' norm with
 the removed log factors summed, so nothing underflows even for event-free
@@ -213,9 +214,12 @@ def _score_record(
     exact collapse, are stepped by the change (`Propagator.step`) and
     collapsed as the index shift they are, so a share that only this short
     interval feeds (the atom re-excited right after an atomic detection)
-    is scored relative to itself. Whether an event goes through psi depends
-    on the record up to it alone, so every cut runs the arithmetic of
-    scoring the record that ends there.
+    is scored relative to itself. So does every detection on the rows
+    `Detector.through_psi` flags, whose coordinates cancel in psi, after
+    an interval of any length (`Propagator.through_states`). Whether an
+    event goes through psi depends on the row and the record up to it
+    alone, so every cut runs the arithmetic of scoring the record that
+    ends there, and a candidate scores the same on any grid.
     """
     times = _check_cut_times(times, record.t0, record.tf)
     decay = max_total_decay_rate(model)
@@ -292,6 +296,9 @@ def _score_record(
         else:
             before, loglik = advance(t_k - t_prev)
             coords = detector.on_coords(before)
+            rows = detector.through_psi
+            if rows.any():  # coordinates that cancel in psi: collapse psi
+                coords[rows] = prop.through_states(before, rows, detector.on_states)
             n2 = detected(coords, k)
 
             def after_last_event(before=before, detector=detector, n2=n2):

@@ -1,3 +1,4 @@
+import dataclasses
 import warnings
 from functools import partial
 from unittest.mock import patch
@@ -33,7 +34,7 @@ from qsysid import (
 )
 
 from conftest import forced_path
-from oracles import chunked_log_density, direct_log_density, random_toy_instance
+from oracles import TWO_PI, chunked_log_density, direct_log_density, random_toy_instance, sample_record
 
 
 def surface_with(loglik, grid=None):
@@ -278,6 +279,32 @@ def test_surface_matches_scalar_likelihood_at_operating_dimension(cavity_model):
     grid = GGrid(40.0, 50.0, 1.0)
     for g, got in zip(grid.values, likelihood_surface(cavity_model, record, grid).loglik):
         assert got == log_likelihood(cavity_model, record, float(g)), g
+
+
+def test_surface_matches_scalar_likelihood_where_coordinates_cancel():
+    # on a record drawn at strong atomic decay, the atomic collapse of g
+    # 30-60 and the cavity's of g 50 cancel in coordinates past
+    # _MAX_CANCELLATION, so those rows collapse psi at those detections, and
+    # the others apply one product: each candidate still scores its lone bits
+    params = ModelParams(g0=60.0, gamma_perp=197.0, kappa=1.0, epsilon=24.0, n_trunc=21)
+    model = build_model(params)
+    record = sample_record(model, 56.0, 2.0 / (2.0 * TWO_PI * params.kappa), np.random.default_rng(1))
+    grid = GGrid(10.0, 60.0, 10.0)
+    _, (atom, cavity) = qsysid.inference._prepare(model, grid.values)
+    assert atom.through_psi.tolist() == [False] * 2 + [True] * 4
+    assert cavity.through_psi.tolist() == [False] * 4 + [True, False]
+    for g, got in zip(grid.values, likelihood_surface(model, record, grid).loglik):
+        assert got == log_likelihood(model, record, float(g)), g
+
+
+@pytest.mark.parametrize("epsilon", [44.3, 24.0])
+def test_headline_grid_applies_every_detection_in_coordinates(cavity_params, epsilon):
+    # at the headline point no default-grid candidate's collapse cancels in
+    # coordinates past _MAX_CANCELLATION (12 at most), so its surfaces keep
+    # one product per detection
+    params = dataclasses.replace(cavity_params, epsilon=epsilon)
+    _, detectors = qsysid.inference._prepare(build_model(params), default_grid(params).values)
+    assert not any(d.through_psi.any() for d in detectors)
 
 
 def test_likelihood_invariant_under_evaluation_cadence(small_model):

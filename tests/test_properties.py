@@ -153,22 +153,18 @@ def test_streaming_likelihood_matches_chunked_oracle_under_stress(case):
     # makes plausible: on hand-placed records that repeat atomic detections
     # a candidate makes improbable, the eigen path's error compounds per
     # detection (1.6e-9 relative after four at n_trunc 37, kappa 10, gamma
-    # 16, eps 0.5, g 2 MHz), while the fallback stays within 1e-15; a sampled
-    # record can hit it too (the strict xfail case below)
+    # 16, eps 0.5, g 2 MHz), while the fallback stays within 1e-15
     model, record, g_true = case
     for g in (0.0, g_true):
         assert_both_paths_match(model, record, g, chunked_log_density(model, record, g))
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="the eigen path's error compounds over detections a candidate makes improbable (ROADMAP item 6)",
-)
 def test_streaming_likelihood_matches_chunked_oracle_on_sampled_compounding_record():
     # a falsifying example of the stress property: eight atomic detections
-    # over two decay times of kappa, scored at g 14, where the default
-    # (eigen) path is 1.30e-9 (relative) off the oracle and the forced
-    # fallback within 3e-16
+    # over two decay times of kappa, scored at g 14, where the eigen path
+    # was 1.30e-9 (relative) off the oracle with every detection applied in
+    # coordinates, and the forced fallback within 3e-16; before each of the
+    # last four, the coordinates' norm passes psi's by 200 to 4700
     model = build_model(ModelParams(g0=60.0, gamma_perp=77.0, kappa=1.0, epsilon=5.0, n_trunc=18))
     times = [
         0.05156620156177409, 0.07289296393608806, 0.09883521966006702, 0.12286761606694321,
@@ -176,6 +172,18 @@ def test_streaming_likelihood_matches_chunked_oracle_on_sampled_compounding_reco
     ]
     record = ClassicalRecord(t0=0.0, tf=0.15915494309189535, times=times, channels=[0] * len(times))
     assert_both_paths_match(model, record, 14.0, chunked_log_density(model, record, 14.0))
+
+
+def test_streaming_likelihood_matches_chunked_oracle_on_sampled_cancelling_record():
+    # a falsifying example of the stress property: 82 events, 76 of them
+    # atomic, over two decay times of kappa, drawn and scored at g 56. With
+    # every detection applied in coordinates, whose norm passes psi's by up
+    # to 4e4 there, the eigen path was 1.6e-9 (relative) off the oracle
+    params = ModelParams(g0=60.0, gamma_perp=197.0, kappa=1.0, epsilon=24.0, n_trunc=21)
+    model = build_model(params)
+    record = sample_record(model, 56.0, 2.0 / (2.0 * TWO_PI * params.kappa), np.random.default_rng(1))
+    assert record.n_events == 82
+    assert_both_paths_match(model, record, 56.0, chunked_log_density(model, record, 56.0))
 
 
 @settings(deadline=None)
