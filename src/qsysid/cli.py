@@ -131,6 +131,7 @@ def _cmd_ensemble(args) -> int:
     hist_time = args.hist_time if args.hist_time is not None else result.checkpoints[-1]
     bin_width = args.bin_width if args.bin_width is not None else config.grid_step
     stats, histogram = summarize(result, hist_time, bin_width)
+    mean_counts, var_counts, fano = count_statistics(result)  # before any file is written
     write_stats_csv(args.out, stats)
     write_hist_csv(args.hist, histogram)
     for t, n, mean, std, rms in zip(
@@ -140,7 +141,6 @@ def _cmd_ensemble(args) -> int:
             f"t = {t:8.4f} us  n = {int(n):4d}  mean = {mean:8.4f} MHz  "
             f"std = {std:7.4f} MHz  rms = {rms:7.4f} MHz"
         )
-    mean_counts, var_counts, fano = count_statistics(result)
     print(
         f"counts: mean = {mean_counts:.1f} per record, variance = {var_counts:.1f}, "
         f"Fano = {fano:.2f}"

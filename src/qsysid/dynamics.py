@@ -14,15 +14,16 @@ the scorer uses. Coordinates are refined once against their residual, so
 the error on such states stays near rounding level although cond(W)
 reaches 1e9. `Detector` applies a collapse operator in the same
 coordinates, as one real product with W^-1 C W refined once. A stack
-builds its turns' index maps once, and splits its rows only if they mix paths.
+builds its turn index maps lazily and splits its rows only if they mix paths.
 
 The simulator and the scorer in `inference` run the same arithmetic, the
 simulator on a stack of one, the scorer on the whole grid: states held in
 coordinates (`to_coords`), turned through each interval (`turn`), and
 collapsed by `Detector`. The simulator locates jump times by inverting the
-squared-norm survival curve of `from_coords(turn(...))`: a bracket that
-starts at the segment's expected waiting time (from its detection rate)
-and doubles, then bisection, so records carry no time-step discretization
+squared-norm survival curve of `from_coords(turn(...))`, evaluated by a
+function built once per segment (`_segment`): a bracket that starts at
+the segment's expected waiting time (from its detection rate) and
+doubles, then bisection, so records carry no time-step discretization
 error beyond the bisection width. The simulator also keeps the largest
 weight its states hold in the top two Fock levels, a check of the cutoff
 on the conditional states records are drawn from.
@@ -95,9 +96,9 @@ class Propagator:
     The scorer in `inference` and the simulator both hold their states in
     the form `to_coords` gives (y on eigen rows, psi on the others) and move
     them with `turn` and `Detector`; the scorer also uses `step`, the
-    simulator `turn` to each interval length its survival search tries.
-    `evolve` composes `to_coords`, `turn` and `from_coords` to map states to
-    states.
+    simulator `turn`'s arithmetic (`_segment`) at each interval length its
+    survival search tries. `evolve` composes `to_coords`, `turn` and
+    `from_coords` to map states to states.
     """
 
     def __init__(self, eig, eigvals, basis, basis_inv, partner, a):
@@ -109,17 +110,6 @@ class Propagator:
         self.a = a
         self._n_eig = int(np.count_nonzero(eig))
         self._all_eig = self._n_eig == len(eig)
-        # index maps shaped as the eigen rows' coordinates, so that no turn reshapes
-        n, dim = partner.shape
-        rows = dim * np.arange(n)[:, None]
-        self._partner_flat = partner + rows
-        # a pair's second column turns by the conjugate of its first one's
-        # factor, so `_turned` takes the factor on the first columns (and real ones) only
-        first = partner >= np.arange(dim)
-        self._first_rates = eigvals[first]
-        leader = np.minimum(partner, np.arange(dim)) + rows
-        self._first_of = (np.cumsum(first.ravel()) - 1)[leader]  # index into _first_rates
-        self._imag_sign = np.where(first, 1.0, -1.0)
 
     @classmethod
     def stack(cls, propagators) -> "Propagator":
@@ -163,16 +153,34 @@ class Propagator:
         coords = _matvec(basis_inv, states)
         return coords + _matvec(basis_inv, states - _matvec(basis, coords))
 
-    def _partners(self, coords: np.ndarray) -> np.ndarray:
-        """Eigen rows: each coordinate's pair partner."""
-        return coords.take(self._partner_flat)
+    @functools.cached_property
+    def _turn_maps(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """A turn's index maps, shaped as the eigen rows' coordinates: the
+        first (and real) columns' rates, each column's index into them (a
+        pair's second column turns by the conjugate factor), its flat
+        partner index and that partner's sign. Built on the first turn."""
+        n, dim = self.partner.shape
+        rows = dim * np.arange(n)[:, None]
+        first = self.partner >= np.arange(dim)
+        leader = np.minimum(self.partner, np.arange(dim)) + rows
+        return (self.eigvals[first], (np.cumsum(first.ravel()) - 1)[leader],
+                self.partner + rows, np.where(first, 1.0, -1.0))
 
-    def _turned(self, coords: np.ndarray, f, tau: float) -> np.ndarray:
+    def _signed_partners(self, coords: np.ndarray) -> np.ndarray:
+        """Eigen rows: each coordinate's signed pair partner (no tau in it)."""
+        _, _, partner_flat, imag_sign = self._turn_maps
+        return imag_sign * coords.take(partner_flat)
+
+    def _turned(self, coords: np.ndarray, f, tau: float, signed=None) -> np.ndarray:
         """Eigen rows: coordinates weighted by the real and imaginary parts
         of the per-column factors f(mu tau) of an interval tau (np.exp to
-        turn them, np.expm1 for the change)."""
-        factors = f(tau * self._first_rates)[self._first_of]
-        return factors.real * coords + factors.imag * self._imag_sign * self._partners(coords)
+        turn them, np.expm1 for the change). `signed`, if given, is
+        `_signed_partners(coords)`, formed once for many intervals."""
+        first_rates, first_of, _, _ = self._turn_maps
+        factors = f(tau * first_rates)[first_of]
+        if signed is None:
+            signed = self._signed_partners(coords)
+        return factors.real * coords + factors.imag * signed
 
     def to_coords(self, states: np.ndarray) -> np.ndarray:
         """The form the scorer and the simulator hold an (n, dim) state stack
@@ -469,31 +477,41 @@ def max_total_decay_rate(model: Model) -> float:
     return 2.0 * TWO_PI * p.kappa * p.n_trunc + 2.0 * TWO_PI * p.gamma_perp
 
 
-def _survival(propagator: Propagator, coords: np.ndarray, tau: float) -> float:
-    """Squared no-detection norm at tau of a single-candidate segment whose
-    start is held in the `to_coords` form."""
-    amps = propagator.from_coords(propagator.turn(coords, tau))[0]
+def _segment(propagator: Propagator, coords: np.ndarray):
+    """The single-candidate segment whose start is held in the `to_coords`
+    form, as a function of tau >= 0: the (1, dim) state
+    from_coords(turn(coords, tau)), to the bit. On the eigen path the
+    turn's partner term, which tau does not change, is formed once here;
+    the fallback takes a Pade exponential per tau."""
+    if not propagator._all_eig:
+        return lambda tau: propagator.from_coords(propagator.turn(coords, tau))
+    signed = propagator._signed_partners(coords)
+    return lambda tau: _matvec(propagator.basis, propagator._turned(coords, np.exp, tau, signed))
+
+
+def _survival(state_at, tau: float) -> float:
+    """Squared no-detection norm at tau of a segment (`_segment`)."""
+    amps = state_at(tau)[0]
     s = float(np.vdot(amps, amps))
     if not math.isfinite(s):
         raise NumericError(f"survival evaluation non-finite at tau={tau}")
     return s
 
 
-def _locate_jump_time(
-    propagator: Propagator, coords: np.ndarray, target: float, remaining: float, guess: float
-) -> float:
-    """First time where the squared-norm survival drops below target, which
-    the caller has checked it does by `remaining`: a bracket from a guess
-    > 0, doubled until survival falls below target or the bracket reaches
-    `remaining`, then bisection to JUMP_TIME_TOL."""
+def _locate_jump_time(state_at, target: float, remaining: float, guess: float) -> float:
+    """First time where the squared-norm survival of a segment (`_segment`)
+    drops below target, which the caller has checked it does by
+    `remaining`: a bracket from a guess > 0, doubled until survival falls
+    below target or the bracket reaches `remaining`, then bisection to
+    JUMP_TIME_TOL."""
     lo, hi = 0.0, min(guess, remaining)
-    while hi < remaining and _survival(propagator, coords, hi) >= target:
+    while hi < remaining and _survival(state_at, hi) >= target:
         lo, hi = hi, min(2.0 * hi, remaining)
     for _ in range(_MAX_BISECT):
         if hi - lo <= JUMP_TIME_TOL:
             break
         mid = 0.5 * (lo + hi)
-        if _survival(propagator, coords, mid) >= target:
+        if _survival(state_at, mid) >= target:
             lo = mid
         else:
             hi = mid
@@ -625,18 +643,17 @@ def _simulate(model: Model, g_true: float, t0: float, tf: float, seed: int) -> t
         r = rng.random()
         while r == 0.0:  # open interval: a zero survival target is never reached
             r = rng.random()
-        coords = propagator.to_coords(psi[None])  # once per inter-jump segment
-        if _survival(propagator, coords, remaining) >= r:
-            at_tf = propagator.from_coords(propagator.turn(coords, remaining))[0]
-            worst_tail = max(worst_tail, _top_weight(at_tf))
+        state_at = _segment(propagator, propagator.to_coords(psi[None]))  # once per inter-jump segment
+        if _survival(state_at, remaining) >= r:
+            worst_tail = max(worst_tail, _top_weight(state_at(remaining)[0]))
             break
         # the waiting time to r at the segment's starting detection rate, down
         # to a power of two: then the bracket and every bisection midpoint are
         # the same on both paths, not moved by the last bits of psi
         rate = sum(float(np.vdot(x, x)) for x in (d.on_states(psi[None]) for d in detectors))
         guess = math.ldexp(0.5, math.frexp(-math.log(r) / rate)[1]) if rate > 0.0 else remaining
-        tau_star = _locate_jump_time(propagator, coords, r, remaining, guess)
-        psi_star = propagator.from_coords(propagator.turn(coords, tau_star))
+        tau_star = _locate_jump_time(state_at, r, remaining, guess)
+        psi_star = state_at(tau_star)
         jumped = [detector.on_states(psi_star)[0] for detector in detectors]
         w0, w1 = weights = [float(np.vdot(x, x)) for x in jumped]
         w_sum = w0 + w1

@@ -190,11 +190,13 @@ def summarize(
 
 
 def count_statistics(result: EnsembleResult) -> tuple[float, float, float]:
-    """Mean, variance (ddof=1), and Fano factor of per-record event counts."""
+    """Mean, variance (ddof=1), and Fano factor of per-record event counts;
+    StatisticsError unless 2 records survive and one of them has an event."""
     counts = np.asarray([c for c in result.event_counts if c is not None], dtype=float)
     if counts.size < 2:
         raise StatisticsError(f"need at least 2 counts, got {counts.size}")
     mean = float(counts.mean())
+    if mean == 0.0:
+        raise StatisticsError(f"no event in any of the {counts.size} records: the Fano factor is undefined")
     var = float(counts.var(ddof=1))
-    fano = var / mean if mean > 0 else math.nan
-    return mean, var, fano
+    return mean, var, var / mean

@@ -45,7 +45,7 @@ class NoEstimateError(QsysidError, RuntimeError):
 
 
 class StatisticsError(QsysidError, RuntimeError):
-    """Too few surviving samples to form the requested statistic."""
+    """Too few surviving samples, or events, to form the requested statistic."""
 
 
 class ConvergenceError(QsysidError, RuntimeError):

@@ -106,6 +106,19 @@ def test_ensemble_writes_stats_and_histogram(tmp_path, toy_config, capsys):
     assert all(float(r[0]) == 1.0 for r in rows)  # default hist time: last checkpoint
 
 
+def test_ensemble_without_events_exits_3_before_writing(tmp_path, capsys):
+    # no drive: every record is empty, and the Fano factor is 0/0
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({**TOY_CONFIG, "epsilon_mhz": 0.0, "n_traj": 3}, indent=2) + "\n")
+    stats_path, hist_path = tmp_path / "stats.csv", tmp_path / "hist.csv"
+    code = main(["ensemble", "--config", str(path), "--out", str(stats_path), "--hist", str(hist_path)])
+    assert code == 3
+    captured = capsys.readouterr()
+    assert captured.err == "error: no event in any of the 3 records: the Fano factor is undefined\n"
+    assert "Fano" not in captured.out
+    assert not stats_path.exists() and not hist_path.exists()
+
+
 def test_ensemble_without_checkpoints_uses_twenty_ending_at_tf(tmp_path, capsys):
     config = {key: value for key, value in TOY_CONFIG.items() if key != "checkpoints_us"}
     config.update(n_traj=2, tf_us=2.0)

@@ -30,7 +30,9 @@ from qsysid import (
 )
 
 import qsysid.dynamics
-from qsysid.dynamics import EIG_TOLERANCE, TRUNCATION_TAIL_LIMIT, Detector, _expm, _locate_jump_time, _simulate
+from qsysid.dynamics import (
+    EIG_TOLERANCE, TRUNCATION_TAIL_LIMIT, Detector, _expm, _locate_jump_time, _segment, _simulate,
+)
 
 from conftest import forced_path
 from oracles import direct_log_density, empty_cavity_expected_counts
@@ -608,8 +610,39 @@ def test_jump_time_inverts_survival_curve(seed):
         prop = prepare_propagator(effective_hamiltonian(model, 0.0), method)
         assert prop.method == method
         for guess in (1e-6 * expected, expected, 1e3 * expected, remaining):
-            tau = _locate_jump_time(prop, prop.to_coords(psi), r, remaining, guess)
+            tau = _locate_jump_time(_segment(prop, prop.to_coords(psi)), r, remaining, guess)
             assert tau == pytest.approx(expected, abs=1e-8)
+
+
+@pytest.mark.parametrize("method", [METHOD_EIG, METHOD_FALLBACK])
+def test_segment_matches_the_full_turn_at_every_search_point(cavity_model, method, monkeypatch):
+    # the per-segment function forms the turn's partner term once; at every
+    # point a real search evaluates (the window end, the bracket points and
+    # the bisection midpoints) its state and survival are the full turn's
+    # to the bit
+    segment, survival = qsysid.dynamics._segment, qsysid.dynamics._survival
+    segments, calls = {}, []
+
+    def kept_segment(prop, coords):
+        state_at = segment(prop, coords)
+        segments[state_at] = (prop, coords)
+        return state_at
+
+    def kept_survival(state_at, tau):
+        calls.append((state_at, tau, survival(state_at, tau)))
+        return calls[-1][2]
+
+    monkeypatch.setattr(qsysid.dynamics, "_segment", kept_segment)
+    monkeypatch.setattr(qsysid.dynamics, "_survival", kept_survival)
+    with forced_path(method) as built:
+        record = simulate_record(cavity_model, 45.0, 0.0, 0.03, seed=1)
+    assert [p.method for p in built] == [method]
+    assert record.n_events > 5 and len(calls) > 10 * record.n_events
+    for state_at, tau, got in calls:
+        prop, coords = segments[state_at]
+        want = prop.from_coords(prop.turn(coords, tau))
+        assert np.array_equal(state_at(tau), want)
+        assert got == float(np.vdot(want[0], want[0]))
 
 
 # A record's bytes at fixed seeds. A change meant to move them (another
@@ -636,7 +669,7 @@ def test_weak_drive_jump_search_stays_cheap(cavity_params, monkeypatch):
     calls = []
 
     def counted(*args):
-        calls.append(args[2])
+        calls.append(args[1])
         return survival(*args)
 
     monkeypatch.setattr(qsysid.dynamics, "_survival", counted)

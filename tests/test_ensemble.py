@@ -175,6 +175,17 @@ def test_count_statistics_matches_manual(tiny_ensemble):
     assert fano == pytest.approx(var / mean)
 
 
+def test_count_statistics_refuses_records_without_events():
+    # no drive from the ground vacuum: no record has an event, so the Fano
+    # factor would be 0/0
+    model = build_model(ModelParams(g0=6.0, gamma_perp=0.8, kappa=1.5, epsilon=0.0, n_trunc=6))
+    result = run_ensemble(model, g_true=3.0, grid=GGrid(1.0, 5.0, 1.0), n_traj=3, t0=0.0, tf=1.0,
+                          checkpoints=(1.0,), master_seed=7)
+    assert result.event_counts == (0, 0, 0)
+    with pytest.raises(StatisticsError, match="no event in any of the 3 records"):
+        count_statistics(result)
+
+
 def test_estimates_concentrate_with_more_data(tiny_ensemble):
     # more of the record seen -> posterior spread shrinks on average
     sd_early = np.mean([est[0].posterior_sd for est in tiny_ensemble.estimates])

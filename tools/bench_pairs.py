@@ -17,7 +17,8 @@ of one continue its numbering). The summary (per workload, seed and
 metric: quartiles of each side, pairs won by the change and the change of
 the median; per workload and seed also each side's median count of
 attempted ops, whose products the harness retains, so a `peak_rss_mb` move
-can be read against it) is recomputed from all of them after every run.
+can be read against it, and the pairs whose two runs drew the same
+records) is recomputed from all of them after every run.
 """
 
 from __future__ import annotations
@@ -46,9 +47,19 @@ def run_once(root: Path, workload: str, seed: int, seconds: float) -> dict:
     return {"result": json.loads(lines[-1]), "provenance": provenance[0] if provenance else None}
 
 
+def _drew_the_same(digests: tuple[list, list]) -> bool:
+    """Whether two runs' record digests agree as far as both go: the faster
+    side attempts more ops."""
+    n = min(map(len, digests))
+    return digests[0][:n] == digests[1][:n]
+
+
 def summarize(runs: list[dict]) -> dict:
     """Per workload, seed and metric: each side's quartiles, the pairs the
-    change won and the relative change of the median."""
+    change won and the relative change of the median. Per workload and
+    seed also each side's median count of attempted ops, and, of the
+    complete pairs whose runs both list record digests, how many drew the
+    same records (None where no pair lists any)."""
     spec = json.loads((Path(__file__).resolve().parents[1] / "BENCHMARK.json").read_text())
     better = {metric["name"]: metric["better"] for metric in spec["end_to_end"]}
     summary = {}
@@ -56,12 +67,12 @@ def summarize(runs: list[dict]) -> dict:
         group = [r for r in runs if (r["workload"], r["seed"]) == key]
         pairs = sorted({r["pair"] for r in group})
         value = {(r["pair"], r["side"]): r["result"]["metrics"] for r in group}
+        complete = [p for p in pairs if all((p, side) in value for side in SIDES)]
         entry = {}
         for name, direction in better.items():
             sides = {side: [value[p, side][name]["value"] for p in pairs if (p, side) in value] for side in SIDES}
             if not all(sides.values()):
                 continue
-            complete = [p for p in pairs if all((p, side) in value for side in SIDES)]
             sign = 1.0 if direction == "lower" else -1.0
             wins = sum(sign * (value[p, "change"][name]["value"] - value[p, "parent"][name]["value"]) < 0
                        for p in complete)
@@ -76,6 +87,12 @@ def summarize(runs: list[dict]) -> dict:
         # the ops a run retains the products of, against which to read a peak_rss_mb move
         attempted = {side: [r["result"]["attempted"] for r in group if r["side"] == side] for side in SIDES}
         entry["attempted_median"] = {side: median(ops) for side, ops in attempted.items() if ops}
+        digests = {(r["pair"], r["side"]): (r["provenance"] or {}).get("record_digests") for r in group}
+        listed = [tuple(digests[p, side] for side in SIDES) for p in complete]
+        listed = [pair for pair in listed if all(pair)]
+        entry["same_records"] = (
+            {"pairs": len(listed), "same": sum(map(_drew_the_same, listed))} if listed else None
+        )
         summary[f"{key[0]} seed {key[1]}"] = entry
     return summary
 
